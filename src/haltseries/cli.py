@@ -180,15 +180,13 @@ def _cmd_forward(ns) -> int:
     program = _load_program(ns.machine_file)
     point = EvaluationPoint(parse_rational(ns.r))
     report = semidecide_halting_via_series(program, ns.input, point, ns.budget)
-    preview = []
-    coeffs = forward_reduce(program, ns.input).stream
-    for n in range(ns.budget + 1):
-        value = coeffs.at(n)
-        if value:
-            preview.append(f"a_{n}={format_rational(value)}")
-            if len(preview) == 10:
-                break
-    if preview:
+    # a_n is nonzero exactly from the halt step on, so only the run's halt
+    # step is needed to find the first nonzero coefficients.
+    outcome = run_bounded(program, ns.input, ns.budget)
+    if outcome.halted:
+        coeffs = forward_reduce(program, ns.input).stream
+        shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
+        preview = (f"a_{n}={format_rational(coeffs.at(n))}" for n in shown)
         print("coefficients (first nonzero): " + " ".join(preview))
     else:
         print(f"coefficients: all zero up to index {ns.budget}")
@@ -355,9 +353,19 @@ _PROBE_REQUIRED = {
 
 def main(argv: list[str] | None = None) -> int:
     # Certificates and program codes can be very large integers; lift the
-    # interpreter's digit cap so printing them exactly never fails.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+    # interpreter's digit cap so printing them exactly never fails, and
+    # give an in-process caller its own cap back afterwards.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(2_000_000)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "probe":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .machine import MachineProgram, _OP_DECJZ, _OP_INC, parse_program
+from .machine import MachineProgram, MachineRun, parse_program
 
 __all__ = [
     "BuiltinId",
@@ -80,69 +80,36 @@ class HaltingEncoded(CoefficientStream):
 
     ``at(n)`` is ``n!`` if the program, started on the given input, halts
     within ``n`` steps, else ``0``. The support is therefore upward
-    closed. The underlying run is simulated once and resumed as larger
+    closed. The stream holds one :class:`MachineRun`, resumed as larger
     indices are queried, so evaluating indices ``0..N`` in any order costs
     one simulation of ``N`` steps in total. A lock keeps the resumable
-    simulation safe under concurrent readers; observable values are
-    identical to unmemoized evaluation.
+    run safe under concurrent readers; observable values are identical to
+    unmemoized evaluation.
     """
 
     def __init__(self, program: MachineProgram, input_value: int):
-        if input_value < 0:
-            raise ValueError("input must be a natural number")
+        self._run = MachineRun(program, input_value)
         self.program = program
         self.input_value = input_value
         self._lock = threading.Lock()
-        self._registers = [0] * program.register_count
-        self._registers[0] = input_value
-        self._pc = 0
-        self._steps = 0
-        self._halted_at: int | None = None
 
     @property
     def simulated_steps(self) -> int:
         """Steps of machine time consumed so far (diagnostic)."""
-        return self._steps
+        return self._run.steps
 
     @property
     def halt_step(self) -> int | None:
         """The halt step if the memoized run has already reached it."""
-        return self._halted_at
-
-    def _advance_to(self, n: int) -> None:
-        code = self.program._code
-        size = len(code)
-        if self._pc >= size:
-            return
-        regs = self._registers
-        pc = self._pc
-        steps = self._steps
-        while steps < n and pc < size:
-            op, a, b = code[pc]
-            steps += 1
-            if op == _OP_INC:
-                regs[a] += 1
-                pc += 1
-            elif op == _OP_DECJZ:
-                v = regs[a]
-                if v:
-                    regs[a] = v - 1
-                    pc += 1
-                else:
-                    pc = b
-            else:
-                pc = size
-        self._pc = pc
-        self._steps = steps
-        if pc >= size and self._halted_at is None:
-            self._halted_at = steps
+        return self._run.halt_step
 
     def at(self, n: int) -> Fraction:
         with self._lock:
-            if self._halted_at is None and self._steps < n:
-                self._advance_to(n)
-            halted = self._halted_at is not None and self._halted_at <= n
-        return Fraction(cached_factorial(n)) if halted else _ZERO
+            run = self._run
+            halt = run.halt_step
+            if halt is None and run.steps < n:
+                halt = run.advance(n)
+        return Fraction(cached_factorial(n)) if halt is not None and halt <= n else _ZERO
 
     def describe(self) -> str:
         return f"halting-encoded run (input {self.input_value})"

@@ -30,6 +30,7 @@ __all__ = [
     "Instruction",
     "MachineProgram",
     "MachineState",
+    "MachineRun",
     "HaltedAt",
     "RunningAfter",
     "ExecutionOutcome",
@@ -364,6 +365,56 @@ def step(program: MachineProgram, state: MachineState) -> MachineState:
     return MachineState(n, regs, steps)
 
 
+class MachineRun:
+    """One run of a program on one input, resumable at any step count.
+
+    ``registers``, ``pc`` and ``steps`` are the live interpreter state;
+    ``halt_step`` is the step count at halt once the run has reached it,
+    else ``None``. This is the only place programs are executed outside
+    the single-step reference semantics of :func:`step`.
+    """
+
+    __slots__ = ("program", "registers", "pc", "steps", "halt_step")
+
+    def __init__(self, program: MachineProgram, input_value: int):
+        if input_value < 0:
+            raise ValueError("input must be a natural number")
+        self.program = program
+        self.registers = [0] * program.register_count
+        self.registers[0] = input_value
+        self.pc = 0
+        self.steps = 0
+        self.halt_step: int | None = None
+
+    def advance(self, budget: int) -> int | None:
+        """Run on until halted or ``budget`` steps in total; return ``halt_step``."""
+        code = self.program._code
+        n = len(code)
+        regs = self.registers
+        pc = self.pc
+        steps = self.steps
+        while steps < budget and pc < n:
+            op, a, b = code[pc]
+            steps += 1
+            if op == _OP_INC:
+                regs[a] += 1
+                pc += 1
+            elif op == _OP_DECJZ:
+                v = regs[a]
+                if v:
+                    regs[a] = v - 1
+                    pc += 1
+                else:
+                    pc = b
+            else:
+                pc = n
+        self.pc = pc
+        self.steps = steps
+        if pc >= n:
+            self.halt_step = steps
+        return self.halt_step
+
+
 def run_bounded(program: MachineProgram, input_value: int, budget: int) -> ExecutionOutcome:
     """Run for at most ``budget`` steps.
 
@@ -371,34 +422,11 @@ def run_bounded(program: MachineProgram, input_value: int, budget: int) -> Execu
     within the budget, else ``RunningAfter(budget)``. Budget exhaustion is
     an ordinary value, not an error, and the result is deterministic.
     """
-    if input_value < 0:
-        raise ValueError("input must be a natural number")
+    run = MachineRun(program, input_value)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    code = program._code
-    n = len(code)
-    regs = [0] * program.register_count
-    regs[0] = input_value
-    pc = 0
-    steps = 0
-    while steps < budget and pc < n:
-        op, a, b = code[pc]
-        steps += 1
-        if op == _OP_INC:
-            regs[a] += 1
-            pc += 1
-        elif op == _OP_DECJZ:
-            v = regs[a]
-            if v:
-                regs[a] = v - 1
-                pc += 1
-            else:
-                pc = b
-        else:
-            pc = n
-    if pc >= n:
-        return HaltedAt(steps)
-    return RunningAfter(budget)
+    halt = run.advance(budget)
+    return RunningAfter(budget) if halt is None else HaltedAt(halt)
 
 
 def halted_by(program: MachineProgram, input_value: int, n: int) -> bool:

@@ -376,7 +376,7 @@ def _run_window_literal(
     budget: int,
     cancel: Callable[[], bool] | None,
 ) -> DetectorOutcome:
-    sums: list[Fraction] = [stream.at(0)]
+    total = stream.at(0)
     trace: list[tuple[int, Fraction]] = []
     witness_log: list[tuple[int, int]] = []
     for k in range(1, budget + 1):
@@ -384,40 +384,14 @@ def _run_window_literal(
             return StillRunning(
                 budget=k - 1, trace=tuple(trace), witness_log=tuple(witness_log)
             )
-        sums.append(sums[-1] + stream.at(k))
+        total += stream.at(k)
         if k <= TRACE_POINTS:
-            trace.append((k, sums[k]))
-        tolerance = Fraction(1, 2 ** k)
-        # Search window starts from k downward; the single-point window
-        # [k, k] has spread 0 < 2^-k, so the first start always succeeds
-        # and the detector can never halt. That degenerate witness is
+            trace.append((k, total))
+        # The first window start tried, k itself, gives the single-point
+        # window [k, k] with spread 0 < 2^-k, so it always qualifies and the
+        # literal detector can never halt. That degenerate witness is
         # recorded per horizon.
-        witness = None
-        failures: list[WindowFailure] = []
-        high = low = sums[k]
-        hi_at = lo_at = k
-        for start in range(k, 0, -1):
-            s = sums[start]
-            if s > high:
-                high, hi_at = s, start
-            if s < low:
-                low, lo_at = s, start
-            if high - low < tolerance:
-                witness = start
-                break
-            failures.append(
-                WindowFailure(
-                    window_start=start, lo_index=lo_at, hi_index=hi_at, gap=high - low
-                )
-            )
-        if witness is None:
-            return Halted(
-                k,
-                CauchyWindowCertificate(
-                    horizon=k, tolerance=tolerance, failures=tuple(failures)
-                ),
-            )
-        witness_log.append((k, witness))
+        witness_log.append((k, k))
     return StillRunning(budget=budget, trace=tuple(trace), witness_log=tuple(witness_log))
 
 

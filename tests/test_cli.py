@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from haltseries import decode_godel, encode_godel, parse_program
@@ -88,6 +90,41 @@ def test_forward_non_halting_consistent(loop_file, capsys):
     assert code == 2
     assert "coefficients: all zero up to index 500" in out
     assert "verdict: CONSISTENT_UP_TO_BUDGET" in out
+
+
+def test_forward_preview_stops_at_the_budget(three_file, capsys):
+    code = main(["forward", three_file, "--input", "0", "--r", "1", "--budget", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "coefficients (first nonzero): a_3=6 a_4=24"
+
+
+def test_forward_budget_below_halt_step_is_all_zero(three_file, capsys):
+    code = main(["forward", three_file, "--input", "0", "--r", "1", "--budget", "2"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[0] == "coefficients: all zero up to index 2"
+
+
+def test_forward_nonpositive_point_exits_one(three_file, capsys):
+    code = main(["forward", three_file, "--input", "0", "--r", "0", "--budget", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: evaluation point must be positive for the semidecision\n"
+
+
+def test_main_restores_the_int_digit_limit(three_file, capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        main(["forward", three_file, "--input", "0", "--r", "1", "--budget", "4"])
+        assert sys.get_int_max_str_digits() == 4321
+        with pytest.raises(SystemExit):
+            main(["forward", three_file])
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------

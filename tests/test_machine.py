@@ -21,6 +21,7 @@ from haltseries import (
     run_bounded,
     step,
 )
+from haltseries.machine import MachineRun
 
 import corpus
 
@@ -209,6 +210,33 @@ def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
         else RunningAfter(budget)
     )
     assert run_bounded(program, input_value, budget) == expected
+
+
+@given(
+    programs(),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 60), min_size=1, max_size=6).map(sorted),
+)
+@settings(deadline=None)
+def test_resumed_run_agrees_with_single_stepping(program, input_value, budgets):
+    run = MachineRun(program, input_value)
+    state = initial_state(program, input_value)
+    for budget in budgets:
+        halt_step = run.advance(budget)
+        while state.steps_executed < budget and not is_halted(program, state):
+            state = step(program, state)
+        expected_halt = state.steps_executed if is_halted(program, state) else None
+        assert (run.pc, tuple(run.registers), run.steps) == (
+            state.pc,
+            state.registers,
+            state.steps_executed,
+        )
+        assert halt_step == run.halt_step == expected_halt
+
+
+def test_run_rejects_negative_input():
+    with pytest.raises(ValueError, match="natural number"):
+        MachineRun(parse_program("halt"), -1)
 
 
 @given(programs(), st.integers(0, 5), st.integers(0, 100), st.integers(0, 100))

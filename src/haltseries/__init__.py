@@ -17,7 +17,6 @@ from .coefficients import (
     HaltingEncoded,
     approx_decimal,
     builtin_stream,
-    cached_factorial,
     coefficient_at,
     format_rational,
     halting_coefficients,

@@ -13,6 +13,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,36 +34,66 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "approx_decimal",
-    "cached_factorial",
+    "TermShape",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
-# Factorials built multiplicatively and shared process-wide; guarded so
-# concurrent readers observe a consistent prefix.
-_factorials: list[int] = [1]
-_factorials_lock = threading.Lock()
+
+def _factorial(stream, n: int) -> int:
+    """``n!`` through ``stream``'s private ``(k, k!)`` cursor.
+
+    A read at the cursor costs nothing, a read just past it one
+    multiplication, any other read one ``math.factorial`` call; the cursor
+    then moves to ``n``. It is replaced as one tuple, so concurrent readers
+    always see a consistent pair.
+    """
+    k, value = stream._cursor
+    if n != k:
+        value = value * n if n == k + 1 else math.factorial(n)
+        object.__setattr__(stream, "_cursor", (n, value))
+    return value
 
 
-def cached_factorial(n: int) -> int:
-    """``n!`` from an incrementally grown shared cache."""
-    if n < 0:
-        raise ValueError("factorial of a negative number")
-    if n < len(_factorials):
-        return _factorials[n]
-    with _factorials_lock:
-        while len(_factorials) <= n:
-            _factorials.append(_factorials[-1] * len(_factorials))
-        return _factorials[n]
+@dataclass(frozen=True)
+class TermShape:
+    """A stream's hypergeometric shape up to some index.
+
+    Terms are zero below ``start`` and nonzero from ``start`` on, where
+    ``a_{n+1} / a_n = (num[0]*n + num[1]) / (den[0]*n + den[1])``, both
+    linear forms being nonzero. ``start`` is ``None`` when every term up
+    to that index is zero.
+    """
+
+    start: int | None
+    num: tuple[int, int] = (0, 1)
+    den: tuple[int, int] = (0, 1)
+
+    def ratio(self, n: int) -> Fraction:
+        """The exact ``a_{n+1} / a_n`` for ``n >= start``."""
+        return Fraction(self.num[0] * n + self.num[1], self.den[0] * n + self.den[1])
+
+
+_ALL_ZERO = TermShape(None)
+_FACTORIAL_RATIO = ((1, 1), (0, 1))
 
 
 class CoefficientStream:
-    """Deterministic, total map from indices to exact rationals."""
+    """Deterministic, total map from indices to exact rationals.
+
+    ``at`` is the only method a stream must provide; consumers accept any
+    object with it. ``term_shape`` is an optional fast path.
+    """
 
     def at(self, n: int) -> Fraction:
         raise NotImplementedError
+
+    def term_shape(self, upto: int) -> TermShape | None:
+        """The stream's :class:`TermShape` valid for indices ``0..upto``,
+        or ``None`` when it has none."""
+        return None
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -92,6 +123,7 @@ class HaltingEncoded(CoefficientStream):
         self.program = program
         self.input_value = input_value
         self._lock = threading.Lock()
+        self._cursor = (0, 1)
 
     @property
     def simulated_steps(self) -> int:
@@ -103,13 +135,23 @@ class HaltingEncoded(CoefficientStream):
         """The halt step if the memoized run has already reached it."""
         return self._run.halt_step
 
-    def at(self, n: int) -> Fraction:
+    def _halt_step_within(self, n: int) -> int | None:
+        """The halt step if it is at most ``n``, resuming the run as needed."""
         with self._lock:
             run = self._run
             halt = run.halt_step
             if halt is None and run.steps < n:
                 halt = run.advance(n)
-        return Fraction(cached_factorial(n)) if halt is not None and halt <= n else _ZERO
+        return halt if halt is not None and halt <= n else None
+
+    def at(self, n: int) -> Fraction:
+        halted = self._halt_step_within(n) is not None
+        return Fraction(_factorial(self, n)) if halted else _ZERO
+
+    def term_shape(self, upto: int) -> TermShape:
+        """Zero below the halt step, ``n!`` (ratio ``n + 1``) from it on."""
+        halt = self._halt_step_within(upto)
+        return _ALL_ZERO if halt is None else TermShape(halt, *_FACTORIAL_RATIO)
 
     def describe(self) -> str:
         return f"halting-encoded run (input {self.input_value})"
@@ -159,6 +201,7 @@ class BuiltinStream(CoefficientStream):
             p = self.params[0]
             if p.denominator != 1 or p < 0:
                 raise ValueError("factorial_tail requires a natural-number start index")
+        object.__setattr__(self, "_cursor", (0, 1))
 
     def at(self, n: int) -> Fraction:
         b = self.builtin_id
@@ -171,11 +214,30 @@ class BuiltinStream(CoefficientStream):
         if b is BuiltinId.ALTERNATING:
             return _ONE if n % 2 == 0 else _MINUS_ONE
         if b is BuiltinId.RECIPROCAL_FACTORIAL:
-            return Fraction(1, cached_factorial(n))
+            return Fraction(1, _factorial(self, n))
         if b is BuiltinId.FACTORIAL_TAIL:
             start = int(self.params[0])
-            return Fraction(cached_factorial(n)) if n >= start else _ZERO
+            return Fraction(_factorial(self, n)) if n >= start else _ZERO
         return self.params[0] ** n  # geometric
+
+    def term_shape(self, upto: int) -> TermShape | None:
+        """Every builtin but ``geometric 0`` is hypergeometric; the shape
+        does not depend on ``upto``."""
+        b = self.builtin_id
+        if b is BuiltinId.ZERO:
+            return _ALL_ZERO
+        if b is BuiltinId.ONE:
+            return TermShape(0)
+        if b is BuiltinId.HARMONIC:
+            return TermShape(0, (1, 1), (1, 2))
+        if b is BuiltinId.ALTERNATING:
+            return TermShape(0, (0, -1))
+        if b is BuiltinId.RECIPROCAL_FACTORIAL:
+            return TermShape(0, (0, 1), (1, 1))
+        if b is BuiltinId.FACTORIAL_TAIL:
+            return TermShape(int(self.params[0]), *_FACTORIAL_RATIO)
+        q = self.params[0]  # geometric
+        return TermShape(0, (0, q.numerator), (0, q.denominator)) if q else None
 
     def describe(self) -> str:
         if self.params:

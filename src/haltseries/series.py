@@ -23,7 +23,6 @@ from fractions import Fraction
 from .coefficients import (
     CoefficientStream,
     approx_decimal,
-    cached_factorial,
     format_rational,
     parse_rational,
 )
@@ -115,9 +114,11 @@ class ExpTailRate(RateFunction):
         num, den = r.numerator, r.denominator
         lhs = 2 ** (m + 1) * num
         rhs = den
+        factorial = 1  # (n+1)!
         n = 0
         while True:
-            if lhs < rhs * cached_factorial(n + 1):
+            factorial *= n + 1
+            if lhs < rhs * factorial:
                 return n
             n += 1
             lhs *= num
@@ -414,6 +415,32 @@ def _trace_indices(budget: int) -> list[int]:
     return picks[:TRACE_POINTS]
 
 
+def _term_ratios(stream: CoefficientStream, upto: int):
+    """Yield ``(n, p, q)`` with ``|a_{n+1} / a_n| = p / q`` and ``q > 0``,
+    for every ``n < upto`` where both terms are nonzero, in order.
+
+    A stream with a term shape gives small integers from its ratio; any
+    other is read term by term and gives unreduced cross-products.
+    """
+    shape_of = getattr(stream, "term_shape", None)
+    shape = shape_of(upto) if shape_of is not None else None
+    if shape is None:
+        current = stream.at(0)
+        for n in range(upto):
+            nxt = stream.at(n + 1)
+            if current != 0 and nxt != 0:
+                yield (
+                    n,
+                    abs(nxt.numerator) * current.denominator,
+                    abs(current.numerator) * nxt.denominator,
+                )
+            current = nxt
+    elif shape.start is not None:
+        (a, b), (c, d) = shape.num, shape.den
+        for n in range(shape.start, upto):
+            yield n, abs(a * n + b), abs(c * n + d)
+
+
 def ratio_test_probe(
     stream: CoefficientStream,
     point: EvaluationPoint,
@@ -428,6 +455,8 @@ def ratio_test_probe(
     which every later sampled ratio (up to the budget) also clears the
     threshold; one large ratio on its own proves nothing. Indices where
     either term vanishes are not sampled and do not interrupt a run.
+    A stream with a term shape is scanned through its exact small-integer
+    ratios, any other term by term; both give the same report.
     """
     threshold = Fraction(threshold)
     if threshold <= 1:
@@ -435,8 +464,17 @@ def ratio_test_probe(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     r = point.r
-    rn, rd = r.numerator, r.denominator
-    tn, td = threshold.numerator, threshold.denominator
+    # |a_{n+1} / a_n| * r >= threshold  <=>  p * rn * td >= q * tn * rd
+    scale_p = r.numerator * threshold.denominator
+    scale_q = threshold.numerator * r.denominator
+
+    # (n, p, q) of the first crossing in the current unbroken run
+    start: tuple[int, int, int] | None = None
+    for n, p, q in _term_ratios(stream, budget + 1):
+        if p * scale_p < q * scale_q:
+            start = None
+        elif start is None:
+            start = (n, p, q)
 
     # The trace covers the first TRACE_POINTS partial sums only; spanning
     # the whole scan would drag enormous exact sums through streams whose
@@ -444,38 +482,25 @@ def ratio_test_probe(
     trace: list[tuple[int, Fraction]] = []
     total = _ZERO
     power = Fraction(1)
+    for n in range(min(budget + 1, TRACE_POINTS)):
+        a = stream.at(n)
+        if a:
+            total += a * power
+        power *= r
+        trace.append((n, total))
 
-    candidate: int | None = None
-    current = stream.at(0)
-    for n in range(budget + 1):
-        nxt = stream.at(n + 1)
-        if current != 0 and nxt != 0:
-            # |a_{n+1}| * r / |a_n| >= threshold, by integer cross-multiplication
-            lhs = abs(nxt.numerator) * rn * current.denominator * td
-            rhs = tn * rd * abs(current.numerator) * nxt.denominator
-            if lhs >= rhs:
-                if candidate is None:
-                    candidate = n
-            else:
-                candidate = None
-        if n < TRACE_POINTS:
-            if current:
-                total += current * power
-            power *= r
-            trace.append((n, total))
-        current = nxt
-
-    if candidate is None:
+    if start is None:
         return SeriesProbeReport(
             verdict=ConsistentUpToBudget(budget),
             witness=None,
             trace=tuple(trace),
             budget_used=budget,
         )
-    ratio = abs(stream.at(candidate + 1)) * r / abs(stream.at(candidate))
+    index, p, q = start
+    ratio = Fraction(p * r.numerator, q * r.denominator)
     return SeriesProbeReport(
-        verdict=WitnessedDivergence(index=candidate, ratio=ratio, threshold=threshold),
-        witness=(candidate, ratio),
+        verdict=WitnessedDivergence(index=index, ratio=ratio, threshold=threshold),
+        witness=(index, ratio),
         trace=tuple(trace),
         budget_used=budget,
     )

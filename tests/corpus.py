@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from haltseries import DecJz, Halt, Inc, MachineProgram, parse_program
+from hypothesis import strategies as st
+
+from haltseries import DecJz, Halt, Inc, MachineProgram, builtin_stream, parse_program
 
 
 @dataclass(frozen=True)
@@ -99,3 +101,35 @@ def cantor_pair(a: int, b: int) -> int:
     """Independent pairing helper for building codes by hand in tests."""
     s = a + b
     return s * (s + 1) // 2 + a
+
+
+@st.composite
+def programs(draw):
+    """Random programs of up to eight instructions over up to four registers."""
+    n = draw(st.integers(1, 8))
+    register_count = draw(st.integers(1, 4))
+    instructions = []
+    for _ in range(n):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            instructions.append(Inc(draw(st.integers(0, register_count - 1))))
+        elif kind == 1:
+            instructions.append(
+                DecJz(draw(st.integers(0, register_count - 1)), draw(st.integers(0, n - 1)))
+            )
+        else:
+            instructions.append(Halt())
+    return MachineProgram(tuple(instructions), register_count)
+
+
+def builtin_streams():
+    """Every builtin, with random parameters; geometric ratios are nonzero."""
+    return st.one_of(
+        st.sampled_from(["zero", "one", "harmonic", "alternating", "reciprocal_factorial"]).map(
+            builtin_stream
+        ),
+        st.integers(0, 40).map(lambda n0: builtin_stream("factorial_tail", n0)),
+        st.fractions(-5, 5, max_denominator=9)
+        .filter(lambda q: q != 0)
+        .map(lambda q: builtin_stream("geometric", q)),
+    )

@@ -297,6 +297,81 @@ def test_probe_ratio_kv_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert "threshold=2" in first
 
 
+def ratio_probe_output(tmp_path, capsys, body, r, budget, *extra):
+    spec = series_file(tmp_path, body)
+    argv = ["probe", spec, "--kind", "ratio", "--r", r, "--threshold", "2", "--budget", budget]
+    code = main([*argv, *extra])
+    return code, capsys.readouterr().out
+
+
+ZERO_TRACE = "trace (first 20):\n" + "".join(f"  S_{n} = 0\n" for n in range(20))
+
+
+@pytest.mark.parametrize(
+    "budget, code, head",
+    [
+        # factorial_tail 20 is nonzero from index 20 on: start = budget + 1, budget, budget - 1
+        ("19", 2, "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 19\n"),
+        (
+            "20",
+            0,
+            "verdict: WITNESSED_DIVERGENCE\nbudget: 20\nwitness index: 20\n"
+            "witness value: 21/10 (approx 2.100000000000)\nratio: 21/10\nthreshold: 2\n",
+        ),
+        (
+            "21",
+            0,
+            "verdict: WITNESSED_DIVERGENCE\nbudget: 21\nwitness index: 20\n"
+            "witness value: 21/10 (approx 2.100000000000)\nratio: 21/10\nthreshold: 2\n",
+        ),
+    ],
+)
+def test_probe_ratio_at_the_start_of_a_factorial_tail(tmp_path, capsys, budget, code, head):
+    result = ratio_probe_output(tmp_path, capsys, "builtin factorial_tail 20", "1/10", budget)
+    assert result == (code, head + ZERO_TRACE)
+
+
+def test_probe_ratio_kv_at_the_start_of_a_factorial_tail(tmp_path, capsys):
+    result = ratio_probe_output(
+        tmp_path, capsys, "builtin factorial_tail 20", "1/10", "21", "--kv"
+    )
+    assert result == (
+        0,
+        "verdict=WITNESSED_DIVERGENCE\nbudget=21\nwitness_index=20\nwitness_value=21/10\n"
+        "ratio=21/10\nthreshold=2\n" + "".join(f"trace.{n}=0\n" for n in range(20)),
+    )
+
+
+def test_probe_ratio_on_geometric_zero(tmp_path, capsys):
+    # Only a_0 is nonzero, so no ratio is ever sampled.
+    result = ratio_probe_output(tmp_path, capsys, "builtin geometric 0", "3", "30")
+    trace = "".join(f"  S_{n} = 1\n" for n in range(20))
+    assert result == (
+        2,
+        "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 30\ntrace (first 20):\n" + trace,
+    )
+
+
+def test_probe_ratio_on_alternating_uses_the_absolute_ratio(tmp_path, capsys):
+    result = ratio_probe_output(tmp_path, capsys, "builtin alternating", "5/2", "3", "--kv")
+    assert result == (
+        0,
+        "verdict=WITNESSED_DIVERGENCE\nbudget=3\nwitness_index=0\nwitness_value=5/2\n"
+        "ratio=5/2\nthreshold=2\ntrace.0=1\ntrace.1=-3/2\ntrace.2=19/4\ntrace.3=-87/8\n",
+    )
+
+
+def test_probe_ratio_on_explicit_stream_skips_zero_terms(tmp_path, capsys):
+    result = ratio_probe_output(tmp_path, capsys, "explicit 1 3 0 | tail 2", "3", "10")
+    sums = [1, 10, 10, 64, 226, 712, 2170, 6544, 19666, 59032, 177130]
+    assert result == (
+        0,
+        "verdict: WITNESSED_DIVERGENCE\nbudget: 10\nwitness index: 0\n"
+        "witness value: 9 (approx 9.000000000000)\nratio: 9\nthreshold: 2\n"
+        "trace (first 11):\n" + "".join(f"  S_{n} = {s}\n" for n, s in enumerate(sums)),
+    )
+
+
 def test_probe_root(tmp_path, capsys):
     spec = series_file(tmp_path, "builtin geometric 1/2")
     code = main(["probe", spec, "--kind", "root", "--n-max", "100"])

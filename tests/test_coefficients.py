@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from haltseries import (
     BuiltinId,
@@ -131,11 +132,60 @@ def test_concurrent_reads_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(stream.at, range(400)))
     assert results == [0] * 400
-    halting = halting_coefficients(parse_program("inc 0\ninc 0\nhalt"), 0)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        values = list(pool.map(halting.at, range(50)))
-    assert values[:3] == [0, 0, 0]
-    assert all(values[n] == math.factorial(n) for n in range(3, 50))
+    # Each of 8 threads reads every index in its own shuffled order, so
+    # reads at, just past and away from the shared factorial cursor interleave.
+    cases = [
+        (
+            halting_coefficients(parse_program("inc 0\ninc 0\nhalt"), 0),
+            lambda n: math.factorial(n) if n >= 3 else 0,
+        ),
+        (builtin_stream("factorial_tail", 7), lambda n: math.factorial(n) if n >= 7 else 0),
+        (builtin_stream("reciprocal_factorial"), lambda n: Fraction(1, math.factorial(n))),
+    ]
+    orders = [random.Random(seed).sample(range(300), 300) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for stream, expected in cases:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reads = list(
+                    pool.map(lambda order: [(n, stream.at(n)) for n in order], orders, timeout=60)
+                )
+            assert len(reads) == 8
+            for thread_reads in reads:
+                assert all(value == expected(n) for n, value in thread_reads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_shape_matches_terms(stream, upto):
+    """Zero before the shape's start, nonzero from it on, a_{n+1} = a_n * ratio(n)."""
+    shape = stream.term_shape(upto)
+    start = upto + 1 if shape.start is None else shape.start
+    assert all(stream.at(n) == 0 for n in range(min(start, upto + 1)))
+    for n in range(start, upto + 1):
+        assert stream.at(n) != 0
+        if n < upto:
+            assert stream.at(n + 1) == stream.at(n) * shape.ratio(n)
+
+
+@given(corpus.builtin_streams(), st.integers(0, 60))
+def test_builtin_term_shape_matches_terms(stream, upto):
+    assert_shape_matches_terms(stream, upto)
+
+
+def test_streams_without_a_term_shape():
+    assert builtin_stream("geometric", 0).term_shape(10) is None
+    assert ExplicitStream((Fraction(1),), Fraction(2)).term_shape(10) is None
+
+
+@given(corpus.programs(), st.integers(0, 5), st.integers(0, 60), st.integers(0, 80))
+@settings(deadline=None)
+def test_halting_term_shape_matches_terms(program, input_value, upto, read_first):
+    stream = halting_coefficients(program, input_value)
+    stream.at(read_first)  # the run may already be past upto
+    assert_shape_matches_terms(stream, upto)
+    assert_shape_matches_terms(halting_coefficients(program, input_value), upto)
 
 
 def test_halting_coefficient_matches_halted_by_pointwise():

@@ -180,25 +180,7 @@ def test_run_bounded_is_deterministic():
     assert len(outcomes) == 1
 
 
-@st.composite
-def programs(draw):
-    n = draw(st.integers(1, 8))
-    register_count = draw(st.integers(1, 4))
-    instructions = []
-    for _ in range(n):
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            instructions.append(Inc(draw(st.integers(0, register_count - 1))))
-        elif kind == 1:
-            instructions.append(
-                DecJz(draw(st.integers(0, register_count - 1)), draw(st.integers(0, n - 1)))
-            )
-        else:
-            instructions.append(Halt())
-    return MachineProgram(tuple(instructions), register_count)
-
-
-@given(programs(), st.integers(0, 5), st.integers(0, 60))
+@given(corpus.programs(), st.integers(0, 5), st.integers(0, 60))
 @settings(deadline=None)
 def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
     state = initial_state(program, input_value)
@@ -213,7 +195,7 @@ def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
 
 
 @given(
-    programs(),
+    corpus.programs(),
     st.integers(0, 5),
     st.lists(st.integers(0, 60), min_size=1, max_size=6).map(sorted),
 )
@@ -239,7 +221,7 @@ def test_run_rejects_negative_input():
         MachineRun(parse_program("halt"), -1)
 
 
-@given(programs(), st.integers(0, 5), st.integers(0, 100), st.integers(0, 100))
+@given(corpus.programs(), st.integers(0, 5), st.integers(0, 100), st.integers(0, 100))
 @settings(deadline=None)
 def test_halted_by_is_monotone(program, input_value, a, b):
     lo, hi = sorted((a, b))
@@ -262,7 +244,7 @@ def test_encode_is_injective_on_corpus():
     assert len(set(codes)) == len(codes)
 
 
-@given(programs())
+@given(corpus.programs())
 @settings(deadline=None)
 def test_encode_decode_roundtrip_random(program):
     assert decode_godel(encode_godel(program)) == program

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +35,7 @@ from haltseries import (
     run_detector,
     semidecide_halting_via_series,
 )
+import haltseries
 from haltseries.coefficients import CoefficientStream
 
 import corpus
@@ -71,6 +77,57 @@ def test_forward_reduce_three_step_program():
     first_nonzero = next(n for n in range(100) if reduction.stream.at(n) != 0)
     assert first_nonzero == 3
     assert reduction.stream.at(3) == 6
+
+
+# Runs in a child under a 512 MB address-space cap, so that a regression to
+# memory growing with the budget fails fast instead of exhausting the host.
+_FLAT_MEMORY_CHILD = """
+from fractions import Fraction
+from haltseries import (
+    EvaluationPoint, builtin_stream, parse_program, ratio_test_probe,
+    semidecide_halting_via_series,
+)
+doubler = parse_program("loop: decjz 0 done\\ninc 1\\ninc 1\\ndecjz 2 loop\\ndone: halt")
+reports = [
+    semidecide_halting_via_series(doubler, 20000, EvaluationPoint(Fraction(1, 2)), 10 ** 5),
+    ratio_test_probe(
+        builtin_stream("factorial_tail", 0), EvaluationPoint(Fraction(1, 3)), Fraction(2), 10 ** 5
+    ),
+]
+for report in reports:
+    print(*report.witness)
+"""
+
+
+def test_semidecision_memory_is_flat_at_budget_1e5():
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2 ** 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FLAT_MEMORY_CHILD],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, out) == (0, "80002 80003/2\n5 2\n")
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    maxrss_mb = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    assert maxrss_mb < 64
 
 
 def test_forward_reduce_then_ratio_probe_witnesses_divergence():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haltseries import (
     ConsistentUpToBudget,
@@ -20,12 +21,15 @@ from haltseries import (
     check_effective_criterion,
     check_modulus,
     effective_partial_sum,
+    halting_coefficients,
     parse_rate_spec,
     partial_sum,
     prefix_sums,
     ratio_test_probe,
     root_estimate,
 )
+
+import corpus
 
 HALF = EvaluationPoint(Fraction(1, 2))
 UNIT = EvaluationPoint(Fraction(1))
@@ -245,6 +249,36 @@ def test_ratio_probe_witness_recheck_from_scratch():
         a, b = stream.at(later), stream.at(later + 1)
         if a != 0 and b != 0:
             assert abs(b) * point.r / abs(a) >= report.verdict.threshold
+
+
+class AtOnly:
+    """A stream that defines only ``at``: the probe's generic path."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def at(self, n):
+        return self.stream.at(n)
+
+
+@given(
+    st.one_of(
+        corpus.builtin_streams(),
+        st.tuples(corpus.programs(), st.integers(0, 5)).map(
+            lambda args: halting_coefficients(*args)
+        ),
+    ),
+    st.fractions(0, 4, max_denominator=9),
+    st.fractions(1, 5, max_denominator=9).filter(lambda t: t > 1),
+    st.integers(1, 80),
+)
+@settings(deadline=None)
+def test_ratio_probe_term_shape_path_matches_generic_path(stream, r, threshold, budget):
+    point = EvaluationPoint(r)
+    fast = ratio_test_probe(stream, point, threshold, budget)
+    generic = ratio_test_probe(AtOnly(stream), point, threshold, budget)
+    assert fast.to_text() == generic.to_text()
+    assert fast.to_kv() == generic.to_kv()
 
 
 def test_ratio_probe_validates_inputs():

@@ -17,9 +17,7 @@ from .coefficients import (
     HaltingEncoded,
     approx_decimal,
     builtin_stream,
-    coefficient_at,
     format_rational,
-    halting_coefficients,
     parse_rational,
     parse_series_spec,
 )
@@ -51,7 +49,6 @@ from .reductions import (
     DetectorKind,
     DetectorOutcome,
     DetectorProgram,
-    ForwardReduction,
     Halted as DetectorHalted,
     StillRunning,
     ThresholdCertificate,

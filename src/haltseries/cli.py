@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .coefficients import (
     CoefficientStream,
-    approx_decimal,
     format_rational,
     parse_rational,
     parse_series_spec,
 )
 from .machine import (
-    GodelDecodeError,
-    MachineParseError,
     MachineProgram,
     decode_godel,
     encode_godel,
@@ -35,8 +31,6 @@ from .machine import (
 )
 from .reductions import (
     DetectorOutcome,
-    Halted,
-    ThresholdCertificate,
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
     build_threshold_detector,
@@ -45,13 +39,12 @@ from .reductions import (
     semidecide_halting_via_series,
 )
 from .series import (
-    ConsistentUpToBudget,
     EvaluationPoint,
-    RateUndefinedError,
     SeriesProbeReport,
     check_effective_criterion,
     check_modulus,
     effective_partial_sum,
+    exact_line,
     parse_rate_spec,
     ratio_test_probe,
     root_estimate,
@@ -83,87 +76,9 @@ def _load_stream(path: str) -> CoefficientStream:
     return parse_series_spec(p.read_text(), base_dir=p.parent)
 
 
-def _exact_line(label: str, value: Fraction) -> str:
-    return f"{label}: {format_rational(value)} (approx {approx_decimal(value)})"
-
-
-def _print_probe(report: SeriesProbeReport, kv: bool) -> int:
+def _print_report(report: SeriesProbeReport | DetectorOutcome, kv: bool, witnessed: bool) -> int:
     sys.stdout.write(report.to_kv() if kv else report.to_text())
-    if isinstance(report.verdict, ConsistentUpToBudget):
-        return EXIT_BUDGET_EXHAUSTED
-    return EXIT_WITNESS
-
-
-def _print_outcome(outcome: DetectorOutcome, kv: bool) -> int:
-    lines: list[str] = []
-    if isinstance(outcome, Halted):
-        lines.append(
-            f"verdict=HALTED\niteration={outcome.iteration}"
-            if kv
-            else f"verdict: HALTED at iteration {outcome.iteration}"
-        )
-        cert = outcome.certificate
-        if isinstance(cert, ThresholdCertificate):
-            if kv:
-                lines.append(f"certificate_index={cert.index}")
-                lines.append(f"certificate_sum={format_rational(cert.partial_sum)}")
-            else:
-                lines.append("certificate:")
-                lines.append(f"  N: {cert.index}")
-                lines.append("  " + _exact_line("S_N", cert.partial_sum))
-                lines.append(f"  inequality: |S_N| > {cert.index}")
-        else:
-            if kv:
-                lines.append(f"certificate_horizon={cert.horizon}")
-                lines.append(f"certificate_tolerance={format_rational(cert.tolerance)}")
-                for f in cert.failures:
-                    lines.append(
-                        f"failure.{f.window_start}="
-                        f"{f.lo_index},{f.hi_index},{format_rational(f.gap)}"
-                    )
-            else:
-                lines.append("certificate:")
-                lines.append(f"  horizon: {cert.horizon}")
-                lines.append(f"  tolerance: {format_rational(cert.tolerance)}")
-                for f in cert.failures:
-                    lines.append(
-                        f"  window start {f.window_start}: |S_{f.hi_index} - "
-                        f"S_{f.lo_index}| = {format_rational(f.gap)}"
-                    )
-        code = EXIT_WITNESS
-    else:
-        lines.append(
-            f"verdict=STILL_RUNNING\niterations={outcome.budget}"
-            if kv
-            else f"verdict: STILL_RUNNING after {outcome.budget} iterations"
-        )
-        if outcome.final_bounds is not None:
-            lo, hi = outcome.final_bounds
-            if kv:
-                lines.append(f"final_sum_lower={format_rational(lo)}")
-                lines.append(f"final_sum_upper={format_rational(hi)}")
-            else:
-                lines.append(
-                    f"final sum enclosure: [{format_rational(lo)}, {format_rational(hi)}]"
-                )
-        if outcome.witness_log and not kv:
-            first = outcome.witness_log[0]
-            last = outcome.witness_log[-1]
-            lines.append(
-                f"window witnesses: start {first[0]} -> {first[1]}, "
-                f"..., start {last[0]} -> {last[1]} ({len(outcome.witness_log)} recorded)"
-            )
-        if outcome.trace:
-            if kv:
-                for n, s in outcome.trace:
-                    lines.append(f"trace.{n}={format_rational(s)}")
-            else:
-                lines.append(f"trace (first {len(outcome.trace)}):")
-                for n, s in outcome.trace:
-                    lines.append(f"  S_{n} = {format_rational(s)}")
-        code = EXIT_BUDGET_EXHAUSTED
-    print("\n".join(lines))
-    return code
+    return EXIT_WITNESS if witnessed else EXIT_BUDGET_EXHAUSTED
 
 
 def _cmd_simulate(ns) -> int:
@@ -184,13 +99,13 @@ def _cmd_forward(ns) -> int:
     # step is needed to find the first nonzero coefficients.
     outcome = run_bounded(program, ns.input, ns.budget)
     if outcome.halted:
-        coeffs = forward_reduce(program, ns.input).stream
+        coeffs = forward_reduce(program, ns.input)
         shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
         preview = (f"a_{n}={format_rational(coeffs.at(n))}" for n in shown)
         print("coefficients (first nonzero): " + " ".join(preview))
     else:
         print(f"coefficients: all zero up to index {ns.budget}")
-    return _print_probe(report, ns.kv)
+    return _print_report(report, ns.kv, report.witness is not None)
 
 
 def _cmd_detect(ns) -> int:
@@ -210,7 +125,7 @@ def _cmd_detect(ns) -> int:
     if ns.show_program:
         print(detector.describe(), end="")
     outcome = run_detector(detector, ns.budget)
-    return _print_outcome(outcome, ns.kv)
+    return _print_report(outcome, ns.kv, outcome.halted)
 
 
 def _cmd_eval(ns) -> int:
@@ -219,16 +134,12 @@ def _cmd_eval(ns) -> int:
     rate = parse_rate_spec(ns.rate)
     value, terms = effective_partial_sum(stream, point, ns.precision, rate)
     print(f"terms used: {terms}")
-    print(_exact_line("value", value))
+    print(exact_line("value", value))
     return EXIT_WITNESS
 
 
 def _cmd_probe(ns) -> int:
     stream = _load_stream(ns.series_file)
-    if ns.kind == "ratio":
-        point = EvaluationPoint(parse_rational(ns.r))
-        report = ratio_test_probe(stream, point, parse_rational(ns.threshold), ns.budget)
-        return _print_probe(report, ns.kv)
     if ns.kind == "root":
         result = root_estimate(stream, ns.n_max)
         print(f"limsup proxy: {result.limsup_proxy:.9e}")
@@ -240,17 +151,19 @@ def _cmd_probe(ns) -> int:
         for n, est in shown:
             print(f"  |a_{n}|^(1/{n}) ~ {est:.9e}")
         return EXIT_WITNESS
-    if ns.kind == "effective":
+    if ns.kind == "ratio":
+        point = EvaluationPoint(parse_rational(ns.r))
+        report = ratio_test_probe(stream, point, parse_rational(ns.threshold), ns.budget)
+    elif ns.kind == "effective":
         rate = parse_rate_spec(ns.rate)
         report = check_effective_criterion(
             stream, rate, parse_rational(ns.radius), ns.k_max, ns.n_budget
         )
-        return _print_probe(report, ns.kv)
-    # modulus
-    point = EvaluationPoint(parse_rational(ns.r))
-    rate = parse_rate_spec(ns.rate)
-    report = check_modulus(stream, point, parse_rational(ns.limit), rate, ns.n_max)
-    return _print_probe(report, ns.kv)
+    else:  # modulus
+        point = EvaluationPoint(parse_rational(ns.r))
+        rate = parse_rate_spec(ns.rate)
+        report = check_modulus(stream, point, parse_rational(ns.limit), rate, ns.n_max)
+    return _print_report(report, ns.kv, report.witness is not None)
 
 
 def _cmd_encode(ns) -> int:
@@ -378,8 +291,6 @@ def _main(argv: list[str] | None) -> int:
             return _fail(f"probe --kind {ns.kind} requires {', '.join(missing)}")
     try:
         return ns.func(ns)
-    except (MachineParseError, GodelDecodeError, RateUndefinedError) as exc:
-        return _fail(str(exc))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 

@@ -27,8 +27,6 @@ __all__ = [
     "HaltingEncoded",
     "BuiltinStream",
     "ExplicitStream",
-    "halting_coefficients",
-    "coefficient_at",
     "builtin_stream",
     "parse_series_spec",
     "parse_rational",
@@ -95,16 +93,6 @@ class CoefficientStream:
         or ``None`` when it has none."""
         return None
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-def coefficient_at(stream: CoefficientStream, n: int) -> Fraction:
-    """The exact coefficient at index ``n`` (``n >= 0``)."""
-    if n < 0:
-        raise ValueError("coefficient index must be non-negative")
-    return stream.at(n)
-
 
 class HaltingEncoded(CoefficientStream):
     """Coefficients encoding whether a machine run has halted.
@@ -120,8 +108,6 @@ class HaltingEncoded(CoefficientStream):
 
     def __init__(self, program: MachineProgram, input_value: int):
         self._run = MachineRun(program, input_value)
-        self.program = program
-        self.input_value = input_value
         self._lock = threading.Lock()
         self._cursor = (0, 1)
 
@@ -129,11 +115,6 @@ class HaltingEncoded(CoefficientStream):
     def simulated_steps(self) -> int:
         """Steps of machine time consumed so far (diagnostic)."""
         return self._run.steps
-
-    @property
-    def halt_step(self) -> int | None:
-        """The halt step if the memoized run has already reached it."""
-        return self._run.halt_step
 
     def _halt_step_within(self, n: int) -> int | None:
         """The halt step if it is at most ``n``, resuming the run as needed."""
@@ -152,9 +133,6 @@ class HaltingEncoded(CoefficientStream):
         """Zero below the halt step, ``n!`` (ratio ``n + 1``) from it on."""
         halt = self._halt_step_within(upto)
         return _ALL_ZERO if halt is None else TermShape(halt, *_FACTORIAL_RATIO)
-
-    def describe(self) -> str:
-        return f"halting-encoded run (input {self.input_value})"
 
 
 class BuiltinId(enum.Enum):
@@ -239,12 +217,6 @@ class BuiltinStream(CoefficientStream):
         q = self.params[0]  # geometric
         return TermShape(0, (0, q.numerator), (0, q.denominator)) if q else None
 
-    def describe(self) -> str:
-        if self.params:
-            args = " ".join(format_rational(p) for p in self.params)
-            return f"builtin {self.builtin_id.value} {args}"
-        return f"builtin {self.builtin_id.value}"
-
 
 @dataclass(frozen=True)
 class ExplicitStream(CoefficientStream):
@@ -259,15 +231,6 @@ class ExplicitStream(CoefficientStream):
 
     def at(self, n: int) -> Fraction:
         return self.prefix[n] if n < len(self.prefix) else self.tail
-
-    def describe(self) -> str:
-        head = " ".join(format_rational(p) for p in self.prefix)
-        return f"explicit {head} | tail {format_rational(self.tail)}"
-
-
-def halting_coefficients(program: MachineProgram, input_value: int) -> HaltingEncoded:
-    """The stream with ``a_n = n!`` once the run has halted by step n, else 0."""
-    return HaltingEncoded(program, input_value)
 
 
 def builtin_stream(name: BuiltinId | str, *params: Fraction | int | str) -> BuiltinStream:
@@ -346,7 +309,7 @@ def parse_series_spec(text: str, base_dir: Path | str = ".") -> CoefficientStrea
         program = parse_program(path.read_text())
         if not tokens[2].isdigit():
             raise ValueError(f"input must be a natural number, got {tokens[2]!r}")
-        return halting_coefficients(program, int(tokens[2]))
+        return HaltingEncoded(program, int(tokens[2]))
 
     if kind == "explicit":
         rest = tokens[1:]

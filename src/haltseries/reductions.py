@@ -26,7 +26,8 @@ degenerate, plus clearly-labeled heuristic variants.
   correctness claim.
 
 Detector outcomes carry exact certificates that re-check by independent
-recomputation of the cited partial sums.
+recomputation of the cited partial sums, and render themselves as the
+CLI prints them (``to_text`` and ``to_kv``).
 """
 
 from __future__ import annotations
@@ -36,18 +37,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .coefficients import CoefficientStream, HaltingEncoded, halting_coefficients
+from .coefficients import CoefficientStream, HaltingEncoded, format_rational
 from .machine import MachineProgram
 from .series import (
     EvaluationPoint,
     SeriesProbeReport,
     TRACE_POINTS,
+    exact_line,
     partial_sum,
     ratio_test_probe,
+    trace_lines,
 )
 
 __all__ = [
-    "ForwardReduction",
     "DetectorKind",
     "CauchyWindowKnobs",
     "DetectorProgram",
@@ -77,22 +79,9 @@ _SHIFT = 64
 _UNIT = 1 << _SHIFT
 
 
-@dataclass(frozen=True)
-class ForwardReduction:
-    """A machine run together with its halting-encoded series."""
-
-    program: MachineProgram
-    input_value: int
-    stream: HaltingEncoded
-
-
-def forward_reduce(program: MachineProgram, input_value: int) -> ForwardReduction:
-    """Package the run as a series; pure construction, nothing is simulated."""
-    return ForwardReduction(
-        program=program,
-        input_value=input_value,
-        stream=halting_coefficients(program, input_value),
-    )
+def forward_reduce(program: MachineProgram, input_value: int) -> HaltingEncoded:
+    """The run's halting-encoded series; pure construction, nothing is simulated."""
+    return HaltingEncoded(program, input_value)
 
 
 def semidecide_halting_via_series(
@@ -112,8 +101,9 @@ def semidecide_halting_via_series(
         raise ValueError("evaluation point must be positive for the semidecision")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    reduction = forward_reduce(program, input_value)
-    return ratio_test_probe(reduction.stream, point, SEMIDECIDE_THRESHOLD, budget)
+    return ratio_test_probe(
+        forward_reduce(program, input_value), point, SEMIDECIDE_THRESHOLD, budget
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +197,20 @@ class ThresholdCertificate:
     index: int
     partial_sum: Fraction
 
+    def report_lines(self, kv: bool) -> list[str]:
+        """This certificate's lines in a ``Halted`` report."""
+        if kv:
+            return [
+                f"certificate_index={self.index}",
+                f"certificate_sum={format_rational(self.partial_sum)}",
+            ]
+        return [
+            "certificate:",
+            f"  N: {self.index}",
+            "  " + exact_line("S_N", self.partial_sum),
+            f"  inequality: |S_N| > {self.index}",
+        ]
+
 
 @dataclass(frozen=True)
 class WindowFailure:
@@ -226,6 +230,26 @@ class CauchyWindowCertificate:
     tolerance: Fraction
     failures: tuple[WindowFailure, ...]
 
+    def report_lines(self, kv: bool) -> list[str]:
+        """This certificate's lines in a ``Halted`` report."""
+        if kv:
+            return [
+                f"certificate_horizon={self.horizon}",
+                f"certificate_tolerance={format_rational(self.tolerance)}",
+            ] + [
+                f"failure.{f.window_start}={f.lo_index},{f.hi_index},{format_rational(f.gap)}"
+                for f in self.failures
+            ]
+        return [
+            "certificate:",
+            f"  horizon: {self.horizon}",
+            f"  tolerance: {format_rational(self.tolerance)}",
+        ] + [
+            f"  window start {f.window_start}: "
+            f"|S_{f.hi_index} - S_{f.lo_index}| = {format_rational(f.gap)}"
+            for f in self.failures
+        ]
+
 
 @dataclass(frozen=True)
 class Halted:
@@ -237,6 +261,14 @@ class Halted:
     @property
     def halted(self) -> bool:
         return True
+
+    def to_text(self) -> str:
+        lines = [f"verdict: HALTED at iteration {self.iteration}"]
+        return "\n".join(lines + self.certificate.report_lines(kv=False)) + "\n"
+
+    def to_kv(self) -> str:
+        lines = ["verdict=HALTED", f"iteration={self.iteration}"]
+        return "\n".join(lines + self.certificate.report_lines(kv=True)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -257,6 +289,29 @@ class StillRunning:
     @property
     def halted(self) -> bool:
         return False
+
+    def to_text(self) -> str:
+        lines = [f"verdict: STILL_RUNNING after {self.budget} iterations"]
+        if self.final_bounds is not None:
+            lo, hi = self.final_bounds
+            lines.append(
+                f"final sum enclosure: [{format_rational(lo)}, {format_rational(hi)}]"
+            )
+        if self.witness_log:
+            first, last = self.witness_log[0], self.witness_log[-1]
+            lines.append(
+                f"window witnesses: start {first[0]} -> {first[1]}, "
+                f"..., start {last[0]} -> {last[1]} ({len(self.witness_log)} recorded)"
+            )
+        return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
+
+    def to_kv(self) -> str:
+        lines = ["verdict=STILL_RUNNING", f"iterations={self.budget}"]
+        if self.final_bounds is not None:
+            lo, hi = self.final_bounds
+            lines.append(f"final_sum_lower={format_rational(lo)}")
+            lines.append(f"final_sum_upper={format_rational(hi)}")
+        return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
 
 
 DetectorOutcome = Union[Halted, StillRunning]

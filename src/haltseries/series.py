@@ -91,9 +91,6 @@ class RateFunction:
     def terms_for(self, m: int, r: Fraction = _ZERO) -> int:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExpTailRate(RateFunction):
@@ -124,9 +121,6 @@ class ExpTailRate(RateFunction):
             lhs *= num
             rhs *= den
 
-    def describe(self) -> str:
-        return "exp_tail"
-
 
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
@@ -138,9 +132,6 @@ class ConstantRate(RateFunction):
 
     def terms_for(self, m: int, r: Fraction = _ZERO) -> int:
         return self.value
-
-    def describe(self) -> str:
-        return f"constant:{self.value}"
 
 
 @dataclass(frozen=True)
@@ -156,9 +147,6 @@ class LinearRate(RateFunction):
 
     def terms_for(self, m: int, r: Fraction = _ZERO) -> int:
         return self.slope * m + self.offset
-
-    def describe(self) -> str:
-        return f"linear:{self.slope}:{self.offset}"
 
 
 @dataclass(frozen=True)
@@ -188,12 +176,6 @@ class TabulatedRate(RateFunction):
         if not candidates:
             raise RateUndefinedError(m, r, "no tabulated row covers the query")
         return min(candidates)
-
-    def describe(self) -> str:
-        body = ";".join(
-            f"{m},{format_rational(rb)},{n}" for m, rb, n in self.rows
-        )
-        return f"table:{body}"
 
 
 def parse_rate_spec(text: str) -> RateFunction:
@@ -294,29 +276,34 @@ class SeriesProbeReport:
         if self.witness is not None:
             index, value = self.witness
             lines.append(f"witness index: {index}")
-            lines.append(
-                f"witness value: {format_rational(value)}"
-                f" (approx {approx_decimal(value)})"
-            )
+            lines.append(exact_line("witness value", value))
         for key, value in sorted(_verdict_detail(self.verdict).items()):
             lines.append(f"{key}: {_format_value(value)}")
-        if self.trace:
-            lines.append(f"trace (first {len(self.trace)}):")
-            for n, s in self.trace:
-                lines.append(f"  S_{n} = {format_rational(s)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
 
     def to_kv(self) -> str:
-        pairs = [("verdict", self.verdict.kind), ("budget", str(self.budget_used))]
+        lines = [f"verdict={self.verdict.kind}", f"budget={self.budget_used}"]
         if self.witness is not None:
             index, value = self.witness
-            pairs.append(("witness_index", str(index)))
-            pairs.append(("witness_value", format_rational(value)))
+            lines.append(f"witness_index={index}")
+            lines.append(f"witness_value={format_rational(value)}")
         for key, value in sorted(_verdict_detail(self.verdict).items()):
-            pairs.append((key, _format_value(value)))
-        for n, s in self.trace:
-            pairs.append((f"trace.{n}", format_rational(s)))
-        return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+            lines.append(f"{key}={_format_value(value)}")
+        return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
+
+
+def exact_line(label: str, value: Fraction) -> str:
+    """``label: p/q (approx d)``, an exact value with its 12-digit decimal."""
+    return f"{label}: {format_rational(value)} (approx {approx_decimal(value)})"
+
+
+def trace_lines(trace: tuple[tuple[int, Fraction], ...], kv: bool) -> list[str]:
+    """The report lines for sampled ``(index, exact partial sum)`` pairs."""
+    if kv:
+        return [f"trace.{n}={format_rational(s)}" for n, s in trace]
+    if not trace:
+        return []
+    return [f"trace (first {len(trace)}):"] + [f"  S_{n} = {format_rational(s)}" for n, s in trace]
 
 
 def _verdict_detail(verdict: Verdict) -> dict:
@@ -346,7 +333,6 @@ class RootEstimateReport:
     estimates: tuple[tuple[int, float], ...]
     limsup_proxy: float
     implied_radius: float
-    relative_error: float = ROOT_ESTIMATE_RELATIVE_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +603,7 @@ def check_modulus(
     promised = [rate.terms_for(n, point.r) for n in range(n_max + 1)]
     max_k = max(k0 + MODULUS_SAMPLE_OFFSETS[-1] for k0 in promised)
     sums = prefix_sums(stream, point, max_k)
-    trace = tuple((k, sums[k]) for k in _trace_indices(max_k) if k < len(sums))[:TRACE_POINTS]
+    trace = tuple((k, sums[k]) for k in _trace_indices(max_k))
     for n in range(n_max + 1):
         tolerance = Fraction(1, 2 ** n)
         for offset in MODULUS_SAMPLE_OFFSETS:

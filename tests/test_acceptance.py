@@ -42,7 +42,7 @@ from haltseries import (
     encode_godel,
     forward_reduce,
     halted_by,
-    halting_coefficients,
+    HaltingEncoded,
     partial_sum,
     prefix_sums,
     ratio_test_probe,
@@ -86,7 +86,7 @@ def test_criterion_1_halting_dichotomy():
         assert len(halting) + len(non_halting) >= 10
         for case, program in halting:
             assert 1 <= case.halt_step <= 50
-            stream = halting_coefficients(program, case.input_value)
+            stream = HaltingEncoded(program, case.input_value)
             # independent oracle: fresh bounded run plus direct factorials
             outcome = run_bounded(program, case.input_value, 200)
             assert outcome.halted and outcome.steps == case.halt_step
@@ -103,7 +103,7 @@ def test_criterion_1_halting_dichotomy():
                 )
                 assert report.verdict.index >= case.halt_step
         for case, program in non_halting:
-            stream = halting_coefficients(program, case.input_value)
+            stream = HaltingEncoded(program, case.input_value)
             assert all(stream.at(n) == 0 for n in range(10 ** 4 + 1)), case.name
             report = ratio_test_probe(stream, UNIT, Fraction(2), 10 ** 4)
             assert report.verdict == ConsistentUpToBudget(10 ** 4), case.name
@@ -163,8 +163,8 @@ def test_criterion_4_window_detector_vacuity():
             builtin_stream("harmonic"),
             builtin_stream("alternating"),
             builtin_stream("geometric", Fraction(1, 2)),
-            forward_reduce(corpus.halting_programs()[1][1], 0).stream,
-            forward_reduce(corpus.non_halting_programs()[0][1], 0).stream,
+            forward_reduce(corpus.halting_programs()[1][1], 0),
+            forward_reduce(corpus.non_halting_programs()[0][1], 0),
         ]
         expected_log = tuple((k, k) for k in range(1, 10 ** 3 + 1))
         for stream in streams:
@@ -273,7 +273,7 @@ def test_criterion_7_series_invariant_suite():
 
         # monotone halting and upward-closed support on the corpus
         for case, program in corpus.halting_programs() + corpus.non_halting_programs():
-            stream = halting_coefficients(program, case.input_value)
+            stream = HaltingEncoded(program, case.input_value)
             samples = sorted(rng.sample(range(10 ** 4), 30))
             for lo, hi in zip(samples, samples[1:]):
                 if halted_by(program, case.input_value, lo):

@@ -1,8 +1,18 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
-from haltseries import decode_godel, encode_godel, parse_program
+from haltseries import (
+    build_cauchy_window_detector,
+    build_cauchy_window_heuristic,
+    build_threshold_detector,
+    decode_godel,
+    encode_godel,
+    parse_program,
+    parse_series_spec,
+    run_detector,
+)
 from haltseries.cli import main
 
 
@@ -233,6 +243,79 @@ def test_detect_handles_huge_certificate_values(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "HALTED at iteration 3000" in out
+
+
+def detect_output(tmp_path, capsys, body, *args):
+    code = main(["detect", series_file(tmp_path, body), *args])
+    return code, capsys.readouterr().out
+
+
+def test_detect_kv_heuristic_certificate(tmp_path, capsys):
+    assert detect_output(
+        tmp_path, capsys, "builtin one", "--kind", "cauchy-heuristic", "--budget", "10",
+        "--window-cap", "1", "--tolerance", "5/2", "--kv",
+    ) == (0, (
+        "verdict=HALTED\n"
+        "iteration=3\n"
+        "certificate_horizon=3\n"
+        "certificate_tolerance=5/2\n"
+        "failure.1=1,6,5\n"
+        "failure.2=2,6,4\n"
+        "failure.3=3,6,3\n"
+    ))
+
+
+def test_detect_kv_threshold_still_running(tmp_path, capsys):
+    assert detect_output(
+        tmp_path, capsys, "explicit 1/1000 | tail 1/1000", "--kind", "threshold",
+        "--budget", "3", "--kv",
+    ) == (2, (
+        "verdict=STILL_RUNNING\n"
+        "iterations=3\n"
+        "final_sum_lower=18446744073709551/4611686018427387904\n"
+        "final_sum_upper=1152921504606847/288230376151711744\n"
+        "trace.1=1/500\n"
+        "trace.2=3/1000\n"
+        "trace.3=1/250\n"
+    ))
+
+
+def test_detect_kv_literal_cauchy_has_no_witness_line(tmp_path, capsys):
+    assert detect_output(
+        tmp_path, capsys, "builtin alternating", "--kind", "cauchy", "--budget", "4", "--kv"
+    ) == (2, "verdict=STILL_RUNNING\niterations=4\ntrace.1=0\ntrace.2=1\ntrace.3=0\ntrace.4=1\n")
+
+
+@pytest.mark.parametrize(
+    "body, build, budget, flags",
+    [
+        ("builtin one", build_threshold_detector, 3, ["--kind", "threshold"]),
+        (
+            "builtin one",
+            lambda s: build_cauchy_window_heuristic(
+                s, window_cap=Fraction(1), fixed_tolerance=Fraction(5, 2)
+            ),
+            10,
+            ["--kind", "cauchy-heuristic", "--window-cap", "1", "--tolerance", "5/2"],
+        ),
+        ("explicit 1/1000 | tail 1/1000", build_threshold_detector, 3, ["--kind", "threshold"]),
+        ("builtin alternating", build_cauchy_window_detector, 4, ["--kind", "cauchy"]),
+        (
+            "builtin geometric 1/2",
+            lambda s: build_cauchy_window_heuristic(s, fixed_tolerance=Fraction(1, 2)),
+            6,
+            ["--kind", "cauchy-heuristic", "--tolerance", "1/2"],
+        ),
+    ],
+    ids=["threshold-halt", "heuristic-halt", "threshold-running", "cauchy", "heuristic-running"],
+)
+def test_library_outcome_renders_what_detect_prints(tmp_path, capsys, body, build, budget, flags):
+    outcome = run_detector(build(parse_series_spec(body)), budget)
+    argv = ["detect", series_file(tmp_path, body), "--budget", str(budget), *flags]
+    main(argv)
+    assert outcome.to_text() == capsys.readouterr().out
+    main([*argv, "--kv"])
+    assert outcome.to_kv() == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from haltseries import (
     BuiltinId,
     ExplicitStream,
+    HaltingEncoded,
     approx_decimal,
     builtin_stream,
-    coefficient_at,
     format_rational,
     halted_by,
-    halting_coefficients,
     parse_program,
     parse_rational,
     parse_series_spec,
@@ -27,24 +26,24 @@ import corpus
 
 def test_self_loop_stream_is_identically_zero():
     program = parse_program("loop: decjz 1 loop")
-    stream = halting_coefficients(program, 0)
+    stream = HaltingEncoded(program, 0)
     assert all(stream.at(n) == 0 for n in range(1001))
 
 
 def test_three_step_program_factorial_tail():
     program = parse_program("inc 0\ninc 0\nhalt")
-    stream = halting_coefficients(program, 0)
+    stream = HaltingEncoded(program, 0)
     # halt step is 3, so the tail starts there: 3! = 6, 4! = 24, 5! = 120
     assert [stream.at(n) for n in range(6)] == [0, 0, 0, 6, 24, 120]
 
 
 def test_minimal_halt_program_values():
-    stream = halting_coefficients(parse_program("halt"), 0)
+    stream = HaltingEncoded(parse_program("halt"), 0)
     assert [stream.at(n) for n in range(4)] == [0, 1, 2, 6]
 
 
 def test_builtin_values():
-    assert coefficient_at(builtin_stream("harmonic"), 4) == Fraction(1, 5)
+    assert builtin_stream("harmonic").at(4) == Fraction(1, 5)
     tail = builtin_stream("factorial_tail", 2)
     assert tail.at(1) == 0
     assert tail.at(4) == 24
@@ -76,15 +75,10 @@ def test_explicit_stream_prefix_then_tail():
     assert [stream.at(n) for n in range(4)] == [5, Fraction(-1, 3), 7, 7]
 
 
-def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        coefficient_at(builtin_stream("one"), -1)
-
-
 def test_support_is_upward_closed_on_corpus():
     rng = random.Random(7)
     for case, program in corpus.halting_programs() + corpus.non_halting_programs():
-        stream = halting_coefficients(program, case.input_value)
+        stream = HaltingEncoded(program, case.input_value)
         samples = sorted(rng.sample(range(10 ** 4), 40))
         seen_nonzero = False
         for n in samples:
@@ -96,7 +90,7 @@ def test_support_is_upward_closed_on_corpus():
 
 def test_agrees_with_piecewise_formula_via_independent_run():
     for case, program in corpus.halting_programs() + corpus.non_halting_programs():
-        stream = halting_coefficients(program, case.input_value)
+        stream = HaltingEncoded(program, case.input_value)
         outcome = run_bounded(program, case.input_value, 200)
         for n in range(201):
             if outcome.halted and n >= outcome.steps:
@@ -108,7 +102,7 @@ def test_agrees_with_piecewise_formula_via_independent_run():
 
 def test_memoization_costs_one_simulation_pass():
     program = parse_program("loop: inc 1\ndecjz 2 loop")
-    stream = halting_coefficients(program, 0)
+    stream = HaltingEncoded(program, 0)
     for n in (500, 100, 250, 500, 499):
         stream.at(n)
     assert stream.simulated_steps == 500
@@ -118,17 +112,17 @@ def test_memoization_costs_one_simulation_pass():
 
 def test_memoized_values_match_fresh_evaluation_in_any_order():
     program = parse_program(corpus.HALTING[4].source)  # drain_three, halts at 14
-    memoized = halting_coefficients(program, 0)
+    memoized = HaltingEncoded(program, 0)
     order = list(range(40))
     random.Random(3).shuffle(order)
     for n in order:
-        fresh = halting_coefficients(program, 0)
+        fresh = HaltingEncoded(program, 0)
         assert memoized.at(n) == fresh.at(n)
 
 
 def test_concurrent_reads_are_consistent():
     program = parse_program("loop: inc 1\ndecjz 2 loop")
-    stream = halting_coefficients(program, 0)
+    stream = HaltingEncoded(program, 0)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(stream.at, range(400)))
     assert results == [0] * 400
@@ -136,7 +130,7 @@ def test_concurrent_reads_are_consistent():
     # reads at, just past and away from the shared factorial cursor interleave.
     cases = [
         (
-            halting_coefficients(parse_program("inc 0\ninc 0\nhalt"), 0),
+            HaltingEncoded(parse_program("inc 0\ninc 0\nhalt"), 0),
             lambda n: math.factorial(n) if n >= 3 else 0,
         ),
         (builtin_stream("factorial_tail", 7), lambda n: math.factorial(n) if n >= 7 else 0),
@@ -182,15 +176,15 @@ def test_streams_without_a_term_shape():
 @given(corpus.programs(), st.integers(0, 5), st.integers(0, 60), st.integers(0, 80))
 @settings(deadline=None)
 def test_halting_term_shape_matches_terms(program, input_value, upto, read_first):
-    stream = halting_coefficients(program, input_value)
+    stream = HaltingEncoded(program, input_value)
     stream.at(read_first)  # the run may already be past upto
     assert_shape_matches_terms(stream, upto)
-    assert_shape_matches_terms(halting_coefficients(program, input_value), upto)
+    assert_shape_matches_terms(HaltingEncoded(program, input_value), upto)
 
 
 def test_halting_coefficient_matches_halted_by_pointwise():
     for case, program in corpus.halting_programs():
-        stream = halting_coefficients(program, case.input_value)
+        stream = HaltingEncoded(program, case.input_value)
         for n in range(min(case.halt_step + 5, 60)):
             expect_nonzero = halted_by(program, case.input_value, n)
             assert (stream.at(n) != 0) == expect_nonzero

@@ -55,9 +55,6 @@ class SlowDivergent(CoefficientStream):
     def at(self, n):
         return Fraction(1, n + 10)
 
-    def describe(self):
-        return "slow divergent 1/(n+10)"
-
 
 # ---------------------------------------------------------------------------
 # forward reduction and the halting semidecision
@@ -66,17 +63,17 @@ class SlowDivergent(CoefficientStream):
 
 def test_forward_reduce_packages_the_run_lazily():
     program = parse_program("loop: decjz 1 loop")
-    reduction = forward_reduce(program, 0)
-    assert reduction.stream.simulated_steps == 0  # nothing simulated eagerly
-    assert all(reduction.stream.at(n) == 0 for n in range(50))
+    stream = forward_reduce(program, 0)
+    assert stream.simulated_steps == 0  # nothing simulated eagerly
+    assert all(stream.at(n) == 0 for n in range(50))
 
 
 def test_forward_reduce_three_step_program():
     program = parse_program("inc 0\ninc 0\nhalt")
-    reduction = forward_reduce(program, 0)
-    first_nonzero = next(n for n in range(100) if reduction.stream.at(n) != 0)
+    stream = forward_reduce(program, 0)
+    first_nonzero = next(n for n in range(100) if stream.at(n) != 0)
     assert first_nonzero == 3
-    assert reduction.stream.at(3) == 6
+    assert stream.at(3) == 6
 
 
 # Runs in a child under a 512 MB address-space cap, so that a regression to
@@ -132,8 +129,8 @@ def test_semidecision_memory_is_flat_at_budget_1e5():
 
 def test_forward_reduce_then_ratio_probe_witnesses_divergence():
     program = parse_program("inc 0\ninc 0\nhalt")
-    reduction = forward_reduce(program, 0)
-    report = ratio_test_probe(reduction.stream, EvaluationPoint(Fraction(1, 2)), Fraction(2), 100)
+    stream = forward_reduce(program, 0)
+    report = ratio_test_probe(stream, EvaluationPoint(Fraction(1, 2)), Fraction(2), 100)
     assert isinstance(report.verdict, WitnessedDivergence)
 
 
@@ -349,7 +346,7 @@ def test_window_detector_is_vacuous_on_everything():
     ]
     for stream in streams:
         outcome = run_detector(build_cauchy_window_detector(stream), 64)
-        assert isinstance(outcome, StillRunning), stream.describe()
+        assert isinstance(outcome, StillRunning), stream
         # the single-point window start N = k satisfies every horizon
         assert outcome.witness_log == tuple((k, k) for k in range(1, 65))
 
@@ -432,8 +429,8 @@ def test_run_detector_validates_budget():
 
 
 def test_window_detector_over_forward_reduced_streams():
-    halting = forward_reduce(parse_program("inc 0\ninc 0\nhalt"), 0).stream
-    looping = forward_reduce(parse_program("loop: decjz 1 loop"), 0).stream
+    halting = forward_reduce(parse_program("inc 0\ninc 0\nhalt"), 0)
+    looping = forward_reduce(parse_program("loop: decjz 1 loop"), 0)
     for stream in (halting, looping):
         outcome = run_detector(build_cauchy_window_detector(stream), 100)
         assert isinstance(outcome, StillRunning)
@@ -444,7 +441,7 @@ def test_parallel_probes_over_one_shared_stream_agree_with_sequential():
     # disjoint budgeted probes may run concurrently over the same memoized
     # stream; results must match fresh sequential evaluation
     program = parse_program("inc 0\ninc 0\nhalt")
-    shared = forward_reduce(program, 0).stream
+    shared = forward_reduce(program, 0)
     budgets = [10, 25, 40, 55, 70]
 
     def probe(budget):
@@ -453,5 +450,5 @@ def test_parallel_probes_over_one_shared_stream_agree_with_sequential():
     with ThreadPoolExecutor(max_workers=5) as pool:
         parallel = list(pool.map(probe, budgets))
     for budget, verdict in zip(budgets, parallel):
-        fresh = forward_reduce(program, 0).stream
+        fresh = forward_reduce(program, 0)
         assert ratio_test_probe(fresh, UNIT, Fraction(2), budget).verdict == verdict

@@ -11,6 +11,7 @@ from haltseries import (
     EvaluationPoint,
     ExpTailRate,
     ExplicitStream,
+    HaltingEncoded,
     LinearRate,
     RateUndefinedError,
     SeriesProbeReport,
@@ -21,7 +22,6 @@ from haltseries import (
     check_effective_criterion,
     check_modulus,
     effective_partial_sum,
-    halting_coefficients,
     parse_rate_spec,
     partial_sum,
     prefix_sums,
@@ -265,7 +265,7 @@ class AtOnly:
     st.one_of(
         corpus.builtin_streams(),
         st.tuples(corpus.programs(), st.integers(0, 5)).map(
-            lambda args: halting_coefficients(*args)
+            lambda args: HaltingEncoded(*args)
         ),
     ),
     st.fractions(0, 4, max_denominator=9),

@@ -105,6 +105,16 @@ class GodelDecodeError(ValueError):
 _OP_INC, _OP_DECJZ, _OP_HALT = 0, 1, 2
 
 
+def _instruction_problem(ins: Instruction, register_count: int, count: int) -> str | None:
+    """Why ``ins`` cannot sit in a program of ``count`` instructions over
+    ``register_count`` registers, or ``None`` when it can."""
+    if isinstance(ins, (Inc, DecJz)) and not 0 <= ins.register < register_count:
+        return f"register {ins.register} out of range for register count {register_count}"
+    if isinstance(ins, DecJz) and not 0 <= ins.target < count:
+        return f"jump target {ins.target} out of range for {count} instructions"
+    return None
+
+
 @dataclass(frozen=True)
 class MachineProgram:
     """A validated counter-machine program.
@@ -123,19 +133,10 @@ class MachineProgram:
             raise ValueError("program must contain at least one instruction")
         if self.register_count < 1:
             raise ValueError("register_count must be at least 1")
-        n = len(self.instructions)
         for i, ins in enumerate(self.instructions):
-            if isinstance(ins, (Inc, DecJz)):
-                if not 0 <= ins.register < self.register_count:
-                    raise ValueError(
-                        f"instruction {i}: register {ins.register} out of range "
-                        f"for register count {self.register_count}"
-                    )
-            if isinstance(ins, DecJz) and not 0 <= ins.target < n:
-                raise ValueError(
-                    f"instruction {i}: jump target {ins.target} out of range "
-                    f"for {n} instructions"
-                )
+            problem = _instruction_problem(ins, self.register_count, len(self.instructions))
+            if problem is not None:
+                raise ValueError(f"instruction {i}: {problem}")
 
     @cached_property
     def _code(self) -> tuple[tuple[int, int, int], ...]:
@@ -525,19 +526,9 @@ def decode_godel(code: int) -> MachineProgram:
         )
     codes: list[int] = []
     _decode_tree(tree, count, codes)
-    instructions: list[Instruction] = []
-    for i, c in enumerate(codes):
-        ins = _instruction_from_code(c)
-        if isinstance(ins, (Inc, DecJz)) and ins.register >= register_count:
-            raise GodelDecodeError(
-                f"register {ins.register} out of range for register count "
-                f"{register_count}",
-                position=i,
-            )
-        if isinstance(ins, DecJz) and ins.target >= count:
-            raise GodelDecodeError(
-                f"jump target {ins.target} out of range for {count} instructions",
-                position=i,
-            )
-        instructions.append(ins)
-    return MachineProgram(tuple(instructions), register_count)
+    instructions = tuple(_instruction_from_code(c) for c in codes)
+    for i, ins in enumerate(instructions):
+        problem = _instruction_problem(ins, register_count, count)
+        if problem is not None:
+            raise GodelDecodeError(problem, position=i)
+    return MachineProgram(instructions, register_count)

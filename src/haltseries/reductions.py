@@ -277,8 +277,9 @@ class StillRunning:
 
     ``trace`` holds the first few exact partial sums. For threshold runs
     ``final_bounds`` encloses the last partial sum between exact dyadic
-    rationals. For literal window runs ``witness_log`` records, per
-    horizon k, the window start that satisfied the check (always k).
+    rationals. For window runs ``witness_log`` records, per horizon k, a
+    window start that satisfied the check: the literal runner logs k
+    itself, the heuristic the smallest qualifying start.
     """
 
     budget: int
@@ -374,53 +375,35 @@ def _run_threshold(
 ) -> DetectorOutcome:
     """Threshold loop over a sound scaled-integer enclosure of S_N.
 
-    The decision at each N ("is |S_N| > N") is taken from the enclosure
-    when it is conclusive and from an exact recomputation otherwise, so
-    the halt index always equals the one plain exact summation would
-    give; only the evaluation strategy differs. Certificates are always
-    recomputed exactly.
+    Whenever the enclosure does not rule out ``|S_N| > N``, the exact
+    partial sum decides: it either becomes the halt certificate or
+    retightens the enclosure. The halt index therefore always equals the
+    one plain exact summation would give; only the evaluation strategy
+    differs.
     """
-    lo = hi = 0
-    a0 = stream.at(0)
-    t_lo, t_hi = _scaled_bounds(a0)
-    lo += t_lo
-    hi += t_hi
-    exact = a0
+    exact = stream.at(0)
+    lo, hi = _scaled_bounds(exact)
     trace: list[tuple[int, Fraction]] = []
     completed = 0
     for n in range(1, budget + 1):
         if cancel is not None and cancel():
-            return StillRunning(
-                budget=completed,
-                trace=tuple(trace),
-                final_bounds=(Fraction(lo, _UNIT), Fraction(hi, _UNIT)),
-            )
+            break
         a = stream.at(n)
         t_lo, t_hi = _scaled_bounds(a)
         lo += t_lo
         hi += t_hi
-        if exact is not None and n <= TRACE_POINTS:
-            exact = exact + a
+        if n <= TRACE_POINTS:
+            exact += a
             trace.append((n, exact))
-            if n == TRACE_POINTS:
-                exact = None
         threshold = n << _SHIFT
-        if hi <= threshold and lo >= -threshold:
-            crossed = False
-        elif lo > threshold or hi < -threshold:
-            crossed = True
-        else:
-            # Enclosure straddles the threshold: resolve exactly and
-            # retighten the accumulator from the exact value.
+        if hi > threshold or lo < -threshold:
             value = partial_sum(stream, _POINT_ONE, n)
-            crossed = abs(value) > n
+            if abs(value) > n:
+                return Halted(n, ThresholdCertificate(index=n, partial_sum=value))
             lo, hi = _scaled_bounds(value)
-        if crossed:
-            value = partial_sum(stream, _POINT_ONE, n)
-            return Halted(n, ThresholdCertificate(index=n, partial_sum=value))
         completed = n
     return StillRunning(
-        budget=budget,
+        budget=completed,
         trace=tuple(trace),
         final_bounds=(Fraction(lo, _UNIT), Fraction(hi, _UNIT)),
     )
@@ -436,9 +419,7 @@ def _run_window_literal(
     witness_log: list[tuple[int, int]] = []
     for k in range(1, budget + 1):
         if cancel is not None and cancel():
-            return StillRunning(
-                budget=k - 1, trace=tuple(trace), witness_log=tuple(witness_log)
-            )
+            break
         total += stream.at(k)
         if k <= TRACE_POINTS:
             trace.append((k, total))
@@ -447,7 +428,9 @@ def _run_window_literal(
         # literal detector can never halt. That degenerate witness is
         # recorded per horizon.
         witness_log.append((k, k))
-    return StillRunning(budget=budget, trace=tuple(trace), witness_log=tuple(witness_log))
+    return StillRunning(
+        budget=len(witness_log), trace=tuple(trace), witness_log=tuple(witness_log)
+    )
 
 
 def _run_window_heuristic(
@@ -461,9 +444,7 @@ def _run_window_heuristic(
     witness_log: list[tuple[int, int]] = []
     for k in range(1, budget + 1):
         if cancel is not None and cancel():
-            return StillRunning(
-                budget=k - 1, trace=tuple(trace), witness_log=tuple(witness_log)
-            )
+            break
         horizon = knobs.horizon_scale * k
         while len(sums) <= horizon:
             sums.append(sums[-1] + stream.at(len(sums)))
@@ -486,27 +467,27 @@ def _run_window_heuristic(
             if s < low:
                 low, lo_at = s, i
             suffix[i] = (high, hi_at, low, lo_at)
-        witness = None
         failures = []
         for start in range(1, cap + 1):
             high, hi_at, low, lo_at = suffix[start]
             if high - low < tolerance:
-                witness = start
+                witness_log.append((k, start))
                 break
             failures.append(
                 WindowFailure(
                     window_start=start, lo_index=lo_at, hi_index=hi_at, gap=high - low
                 )
             )
-        if witness is None:
+        else:
             return Halted(
                 k,
                 CauchyWindowCertificate(
                     horizon=k, tolerance=tolerance, failures=tuple(failures)
                 ),
             )
-        witness_log.append((k, witness))
-    return StillRunning(budget=budget, trace=tuple(trace), witness_log=tuple(witness_log))
+    return StillRunning(
+        budget=len(witness_log), trace=tuple(trace), witness_log=tuple(witness_log)
+    )
 
 
 def recheck_certificate(

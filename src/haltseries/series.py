@@ -16,6 +16,7 @@ rate) and can be falsified, never verified, by :func:`check_modulus`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,34 +341,30 @@ class RootEstimateReport:
 # ---------------------------------------------------------------------------
 
 
-def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> Fraction:
-    """Exact ``sum(a_n * r^n for n in 0..upto)`` via a running power."""
-    if upto < 0:
-        raise ValueError("partial sum index must be non-negative")
+def _running_sums(stream: CoefficientStream, point: EvaluationPoint):
+    """Yield the exact partial sums ``S_0, S_1, ...`` of ``sum(a_n * r^n)``,
+    reading each coefficient once, in order, via a running power."""
     r = point.r
     total = _ZERO
     power = Fraction(1)
-    for n in range(upto + 1):
+    for n in itertools.count():
         a = stream.at(n)
         if a:
             total += a * power
         power *= r
-    return total
+        yield total
+
+
+def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> Fraction:
+    """Exact ``sum(a_n * r^n for n in 0..upto)``, summed from index 0."""
+    if upto < 0:
+        raise ValueError("partial sum index must be non-negative")
+    return next(itertools.islice(_running_sums(stream, point), upto, None))
 
 
 def prefix_sums(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> list[Fraction]:
     """All exact partial sums ``S_0..S_upto`` in one incremental pass."""
-    r = point.r
-    sums: list[Fraction] = []
-    total = _ZERO
-    power = Fraction(1)
-    for n in range(upto + 1):
-        a = stream.at(n)
-        if a:
-            total += a * power
-        power *= r
-        sums.append(total)
-    return sums
+    return list(itertools.islice(_running_sums(stream, point), max(upto + 1, 0)))
 
 
 def effective_partial_sum(
@@ -465,31 +462,17 @@ def ratio_test_probe(
     # The trace covers the first TRACE_POINTS partial sums only; spanning
     # the whole scan would drag enormous exact sums through streams whose
     # terms explode (factorial tails at small r).
-    trace: list[tuple[int, Fraction]] = []
-    total = _ZERO
-    power = Fraction(1)
-    for n in range(min(budget + 1, TRACE_POINTS)):
-        a = stream.at(n)
-        if a:
-            total += a * power
-        power *= r
-        trace.append((n, total))
+    sums = itertools.islice(_running_sums(stream, point), min(budget + 1, TRACE_POINTS))
+    trace = tuple(enumerate(sums))
 
     if start is None:
-        return SeriesProbeReport(
-            verdict=ConsistentUpToBudget(budget),
-            witness=None,
-            trace=tuple(trace),
-            budget_used=budget,
-        )
-    index, p, q = start
-    ratio = Fraction(p * r.numerator, q * r.denominator)
-    return SeriesProbeReport(
-        verdict=WitnessedDivergence(index=index, ratio=ratio, threshold=threshold),
-        witness=(index, ratio),
-        trace=tuple(trace),
-        budget_used=budget,
-    )
+        verdict, witness = ConsistentUpToBudget(budget), None
+    else:
+        index, p, q = start
+        ratio = Fraction(p * r.numerator, q * r.denominator)
+        verdict = WitnessedDivergence(index=index, ratio=ratio, threshold=threshold)
+        witness = (index, ratio)
+    return SeriesProbeReport(verdict=verdict, witness=witness, trace=trace, budget_used=budget)
 
 
 def _ln_int(x: int) -> float:

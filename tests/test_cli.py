@@ -80,6 +80,20 @@ def test_missing_required_flag_exits_one(halt_file):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--input", "-1", "--budget", "10"], "argument --input: must be non-negative"),
+        (["--input", "0", "--budget", "0"], "argument --budget: must be at least 1"),
+    ],
+)
+def test_negative_input_and_zero_budget_exit_one(halt_file, flags, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", halt_file, *flags])
+    assert err.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ def test_parse_missing_operand_is_syntax_error_with_line():
         ("registers 0", 1),
         ("registers 2\ninc 5", 2),
         ("", 1),
+        ("registers 2 3\nhalt", 1),
+        ("registers 1\nregisters 1\nhalt", 2),
+        ("9x: halt", 1),
+        ("halt 0", 1),
+        ("decjz 0", 1),
+        ("inc 4096", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(source, line):

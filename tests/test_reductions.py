@@ -4,13 +4,15 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from haltseries import (
+    CauchyWindowCertificate,
     CauchyWindowKnobs,
     ConsistentUpToBudget,
     DetectorHalted,
@@ -20,6 +22,7 @@ from haltseries import (
     ExplicitStream,
     StillRunning,
     ThresholdCertificate,
+    WindowFailure,
     WitnessedDivergence,
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
@@ -330,6 +333,16 @@ def test_detector_cancellation_at_iteration_boundaries():
         cancel=lambda: True,
     )
     assert window.budget == 0
+    ticks = iter(range(100))
+    heuristic = run_detector(
+        build_cauchy_window_heuristic(builtin_stream("zero")),
+        10 ** 6,
+        cancel=lambda: next(ticks) >= 2,
+    )
+    assert isinstance(heuristic, StillRunning)
+    assert heuristic.budget == 2
+    assert heuristic.witness_log == ((1, 1), (2, 1))
+    assert heuristic.trace == ((1, 0), (2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +406,93 @@ def test_window_heuristic_certificate_rechecks():
     detector = build_cauchy_window_heuristic(builtin_stream("one"))
     outcome = run_detector(detector, 10)
     assert recheck_certificate(builtin_stream("one"), outcome, detector.knobs)
+
+
+def test_recheck_rejects_tampered_certificates():
+    stream = builtin_stream("one")
+    detector = build_cauchy_window_heuristic(stream, window_cap=Fraction(1))
+    outcome = run_detector(detector, 10)
+    cert = outcome.certificate
+    assert recheck_certificate(stream, outcome, detector.knobs)
+    (failure,) = cert.failures
+    tampered = [
+        replace(cert, failures=()),
+        replace(cert, failures=(replace(failure, lo_index=failure.window_start - 1),)),
+        replace(cert, failures=(replace(failure, hi_index=2 * cert.horizon + 1),)),
+        replace(cert, failures=(replace(failure, gap=failure.gap + 1),)),
+    ]
+    for bad in tampered:
+        assert not recheck_certificate(stream, replace(outcome, certificate=bad), detector.knobs)
+    halt = run_detector(build_threshold_detector(stream), 10)
+    assert recheck_certificate(stream, halt)
+    moved = replace(halt.certificate, partial_sum=halt.certificate.partial_sum + 1)
+    assert not recheck_certificate(stream, replace(halt, certificate=moved))
+
+
+def _reference_window_heuristic(stream, knobs, budget):
+    """Independent oracle: for each horizon k, scan ``S_s..S_H`` for its
+    maximum and minimum (the later index wins a tie) and take the first
+    start whose gap is below the tolerance."""
+    sums = [stream.at(0)]
+    trace, witness_log = [], []
+    for k in range(1, budget + 1):
+        horizon = knobs.horizon_scale * k
+        while len(sums) <= horizon:
+            sums.append(sums[-1] + stream.at(len(sums)))
+        if k <= 20:
+            trace.append((k, sums[k]))
+        tolerance = knobs.fixed_tolerance
+        if tolerance is None:
+            tolerance = Fraction(1, 2 ** k)
+        failures = []
+        for start in range(1, max(1, int(knobs.window_cap * k)) + 1):
+            window = range(start, horizon + 1)
+            hi_at = max(window, key=lambda i: (sums[i], i))
+            lo_at = min(window, key=lambda i: (sums[i], -i))
+            gap = sums[hi_at] - sums[lo_at]
+            if gap < tolerance:
+                witness_log.append((k, start))
+                break
+            failures.append(WindowFailure(start, lo_at, hi_at, gap))
+        else:
+            return DetectorHalted(k, CauchyWindowCertificate(k, tolerance, tuple(failures)))
+    return StillRunning(budget=budget, trace=tuple(trace), witness_log=tuple(witness_log))
+
+
+_small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@given(
+    prefix=st.lists(st.one_of(st.just(Fraction(0)), _small_fractions), max_size=10),
+    tail=st.one_of(st.just(Fraction(0)), _small_fractions),
+    horizon_scale=st.integers(1, 3),
+    window_cap=st.fractions(min_value=Fraction(1, 4), max_value=1, max_denominator=4),
+    fixed_tolerance=st.one_of(
+        st.none(), st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8)
+    ),
+    budget=st.integers(1, 12),
+)
+@example(  # falling partial sums: the suffix maximum moves left
+    prefix=[Fraction(2), Fraction(-1, 2), Fraction(-1, 4)],
+    tail=Fraction(-1, 8),
+    horizon_scale=2,
+    window_cap=Fraction(1),
+    fixed_tolerance=Fraction(1),
+    budget=6,
+)
+@settings(deadline=None, max_examples=200)
+def test_window_heuristic_matches_brute_force_reference(
+    prefix, tail, horizon_scale, window_cap, fixed_tolerance, budget
+):
+    stream = ExplicitStream(tuple(prefix), tail)
+    detector = build_cauchy_window_heuristic(stream, horizon_scale, window_cap, fixed_tolerance)
+    outcome = run_detector(detector, budget)
+    expected = _reference_window_heuristic(stream, detector.knobs, budget)
+    assert outcome.to_text() == expected.to_text()
+    assert outcome.to_kv() == expected.to_kv()
+    assert getattr(outcome, "witness_log", ()) == getattr(expected, "witness_log", ())
+    if outcome.halted:
+        assert recheck_certificate(stream, outcome, detector.knobs)
 
 
 def test_window_heuristic_certificate_covers_every_window_start():

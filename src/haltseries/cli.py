@@ -12,6 +12,7 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,11 @@ EXIT_BUDGET_EXHAUSTED = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read -1/3 as a value, as argparse reads -1 and -0.5: "--r -1/3" == "--r=-1/3".
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     # Usage errors must exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)

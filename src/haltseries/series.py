@@ -341,6 +341,12 @@ class RootEstimateReport:
 # ---------------------------------------------------------------------------
 
 
+def _shape_of(stream: CoefficientStream, upto: int):
+    """The term shape over ``0..upto``; ``None`` also for ``at``-only streams."""
+    shape_of = getattr(stream, "term_shape", None)
+    return shape_of(upto) if shape_of is not None else None
+
+
 def _running_sums(stream: CoefficientStream, point: EvaluationPoint):
     """Yield the exact partial sums ``S_0, S_1, ...`` of ``sum(a_n * r^n)``,
     reading each coefficient once, in order, via a running power."""
@@ -355,11 +361,54 @@ def _running_sums(stream: CoefficientStream, point: EvaluationPoint):
         yield total
 
 
+def _split(p: tuple[int, int], q: tuple[int, int], a: int, b: int) -> tuple[int, int, int]:
+    """Binary splitting of ``[a, b)`` for ``p(j) = p[0]*j + p[1]``, ``q(j) = q[0]*j + q[1]``.
+
+    Returns ``(P(a, b), Q(a, b), T)``, where ``P(x, y)`` and ``Q(x, y)`` are
+    the products of ``p(j)`` and ``q(j)`` over ``x <= j < y`` and
+    ``T = sum(P(a, n) * Q(n, b) for a <= n < b)``, so ``T / Q(a, b)`` sums
+    ``P(a, n) / Q(a, n)``. Halves merge as ``P1*P2, Q1*Q2, T1*Q2 + P1*T2``.
+    """
+    if b - a == 1:
+        qa = q[0] * a + q[1]
+        return p[0] * a + p[1], qa, qa
+    m = (a + b) // 2
+    p1, q1, t1 = _split(p, q, a, m)
+    p2, q2, t2 = _split(p, q, m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _sampled_sums(stream: CoefficientStream, point: EvaluationPoint, indices: list[int]):
+    """Yield unreduced ``(k, num, den)``, ``S_k = num / den`` with ``den > 0``,
+    for each k of the strictly increasing, non-empty ``indices``. A shaped
+    stream reads only ``a_start``: ``S_k = a_start * r^start * T / Q`` for
+    the :func:`_split` triple over ``[start, k + 1)``, extended one segment
+    per index with no gcd. Any other stream is summed term by term."""
+    shape = _shape_of(stream, indices[-1])
+    if shape is None:
+        wanted = set(indices)
+        sums = itertools.islice(enumerate(_running_sums(stream, point)), indices[-1] + 1)
+        yield from ((k, s.numerator, s.denominator) for k, s in sums if k in wanted)
+        return
+    start = indices[-1] + 1 if shape.start is None else shape.start
+    lead = stream.at(start) * point.r ** start if start <= indices[-1] else _ZERO
+    (a, b), (c, d), r = shape.num, shape.den, point.r
+    p, q = (a * r.numerator, b * r.numerator), (c * r.denominator, d * r.denominator)
+    big_p, big_q, big_t, done = 1, 1, 0, start
+    for k in indices:
+        if k >= start:  # below start S_k = 0, and T is still 0
+            p2, q2, t2 = _split(p, q, done, k + 1)
+            big_p, big_q, big_t, done = big_p * p2, big_q * q2, big_t * q2 + big_p * t2, k + 1
+        num, den = lead.numerator * big_t, lead.denominator * big_q
+        yield (k, num, den) if den > 0 else (k, -num, -den)
+
+
 def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> Fraction:
-    """Exact ``sum(a_n * r^n for n in 0..upto)``, summed from index 0."""
+    """Exact ``sum(a_n * r^n for n in 0..upto)``."""
     if upto < 0:
         raise ValueError("partial sum index must be non-negative")
-    return next(itertools.islice(_running_sums(stream, point), upto, None))
+    ((_, num, den),) = _sampled_sums(stream, point, [upto])
+    return Fraction(num, den)
 
 
 def prefix_sums(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> list[Fraction]:
@@ -405,8 +454,7 @@ def _term_ratios(stream: CoefficientStream, upto: int):
     A stream with a term shape gives small integers from its ratio; any
     other is read term by term and gives unreduced cross-products.
     """
-    shape_of = getattr(stream, "term_shape", None)
-    shape = shape_of(upto) if shape_of is not None else None
+    shape = _shape_of(stream, upto)
     if shape is None:
         current = stream.at(0)
         for n in range(upto):
@@ -584,31 +632,36 @@ def check_modulus(
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     promised = [rate.terms_for(n, point.r) for n in range(n_max + 1)]
-    max_k = max(k0 + MODULUS_SAMPLE_OFFSETS[-1] for k0 in promised)
-    sums = prefix_sums(stream, point, max_k)
-    trace = tuple((k, sums[k]) for k in _trace_indices(max_k))
-    for n in range(n_max + 1):
-        tolerance = Fraction(1, 2 ** n)
-        for offset in MODULUS_SAMPLE_OFFSETS:
-            k = promised[n] + offset
-            distance = abs(sums[k] - claimed_limit)
-            if distance >= tolerance:
-                detail = {
-                    "precision_exponent": n,
-                    "terms": k,
-                    "partial_sum": sums[k],
-                    "distance": distance,
-                    "tolerance": tolerance,
-                }
-                return SeriesProbeReport(
-                    verdict=WitnessedBoundViolation(detail),
-                    witness=(k, sums[k]),
-                    trace=trace,
-                    budget_used=n_max,
-                )
+    checks: dict[int, list[tuple[int, int]]] = {}  # index -> its (n, offset position)s
+    for n, k0 in enumerate(promised):
+        for position, offset in enumerate(MODULUS_SAMPLE_OFFSETS):
+            checks.setdefault(k0 + offset, []).append((n, position))
+    traced = set(_trace_indices(max(checks)))
+    limit_num, limit_den = claimed_limit.numerator, claimed_limit.denominator
+    trace = []
+    failure = None  # (n, position, k, S_k) of the first failure in (n, position) order
+    for k, num, den in _sampled_sums(stream, point, sorted(checks.keys() | traced)):
+        if k in traced:
+            trace.append((k, Fraction(num, den)))
+        gap, scale = abs(num * limit_den - limit_num * den), den * limit_den
+        for n, position in checks.get(k, ()):
+            if failure is not None and (n, position) > failure[:2]:
+                break
+            if gap << n >= scale:  # |S_k - limit| >= 2^-n, as den > 0
+                failure = (n, position, k, Fraction(num, den))
+                break
+    if failure is None:
+        verdict, witness = ConsistentUpToBudget(n_max), None
+    else:
+        n, _, k, value = failure
+        detail = {
+            "precision_exponent": n,
+            "terms": k,
+            "partial_sum": value,
+            "distance": abs(value - claimed_limit),
+            "tolerance": Fraction(1, 2 ** n),
+        }
+        verdict, witness = WitnessedBoundViolation(detail), (k, value)
     return SeriesProbeReport(
-        verdict=ConsistentUpToBudget(n_max),
-        witness=None,
-        trace=trace,
-        budget_used=n_max,
+        verdict=verdict, witness=witness, trace=tuple(trace), budget_used=n_max
     )

@@ -512,6 +512,35 @@ def test_probe_modulus_consistent(tmp_path, capsys):
     assert "verdict: CONSISTENT_UP_TO_BUDGET" in out
 
 
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["probe", "S", "--kind", "modulus", "--rate", "constant:0", "--n-max", "3"], "--limit", "-1/3"),
+        (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--tolerance", "-1/2"),
+        (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--window-cap", "-1/2"),
+        (["eval", "S", "-m", "2", "--rate", "constant:3"], "--r", "-1/2"),
+        (["probe", "S", "--kind", "ratio", "--budget", "5"], "--threshold", "-3/2"),
+        (["probe", "S", "--kind", "effective", "--rate", "constant:1", "--k-max", "1",
+          "--n-budget", "5"], "--radius", "-1/2"),
+    ],
+)
+def test_negative_fraction_flag_values_parse_in_both_spellings(tmp_path, capsys, argv, flag, value):
+    argv = [series_file(tmp_path, "explicit -1/3") if a == "S" else a for a in argv]
+    separate = _run([*argv, flag, value], capsys)
+    joined = _run([*argv, f"{flag}={value}"], capsys)
+    assert separate == joined
+    assert "expected one argument" not in separate[2]
+
+
 def test_probe_requires_kind_specific_flags(tmp_path, capsys):
     spec = series_file(tmp_path, "builtin one")
     code = main(["probe", spec, "--kind", "ratio"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haltseries import (
+    CoefficientStream,
     ConsistentUpToBudget,
     ConstantRate,
     EvaluationPoint,
@@ -13,6 +14,7 @@ from haltseries import (
     ExplicitStream,
     HaltingEncoded,
     LinearRate,
+    RateFunction,
     RateUndefinedError,
     SeriesProbeReport,
     TabulatedRate,
@@ -30,6 +32,8 @@ from haltseries import (
 )
 
 import corpus
+from haltseries.coefficients import TermShape
+from haltseries.series import MODULUS_SAMPLE_OFFSETS, _trace_indices
 
 HALF = EvaluationPoint(Fraction(1, 2))
 UNIT = EvaluationPoint(Fraction(1))
@@ -86,6 +90,98 @@ def test_prefix_sums_match_partial_sum():
     sums = prefix_sums(stream, HALF, 30)
     assert sums[17] == partial_sum(stream, HALF, 17)
     assert len(sums) == 31
+
+
+class AtOnly:
+    """A stream that defines only ``at``: the generic, term-by-term path."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def at(self, n):
+        return self.stream.at(n)
+
+
+class Counting(CoefficientStream):
+    """Forwards to ``stream`` and counts the coefficients read through ``at``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.reads = 0
+
+    def at(self, n):
+        self.reads += 1
+        return self.stream.at(n)
+
+    def term_shape(self, upto):
+        return self.stream.term_shape(upto)
+
+
+class NegativeDenominator(CoefficientStream):
+    """``(-1/2)^n`` with its ratio written as ``1 / -2``: a shape may put the sign below."""
+
+    def at(self, n):
+        return Fraction(-1, 2) ** n
+
+    def term_shape(self, upto):
+        return TermShape(0, (0, 1), (0, -2))
+
+
+def sequential_sum(stream, r, upto):
+    """The plain reference: one ``a_n * r^n`` addition per index."""
+    total = Fraction(0)
+    for n in range(upto + 1):
+        total += stream.at(n) * r ** n
+    return total
+
+
+halting_streams = st.tuples(corpus.programs(), st.integers(0, 5)).map(
+    lambda args: HaltingEncoded(*args)
+)
+explicit_streams = st.builds(
+    lambda prefix, tail: ExplicitStream(tuple(prefix), tail),
+    st.lists(st.fractions(-5, 5, max_denominator=7), max_size=6),
+    st.fractions(-3, 3, max_denominator=5),
+)
+
+
+@given(
+    st.one_of(
+        corpus.builtin_streams(),
+        halting_streams,
+        explicit_streams,
+        corpus.builtin_streams().map(AtOnly),
+    ),
+    st.fractions(0, 3, max_denominator=9),
+    st.integers(0, 90),
+)
+@settings(deadline=None)
+def test_partial_sum_matches_the_sequential_sum(stream, r, upto):
+    assert partial_sum(stream, EvaluationPoint(r), upto) == sequential_sum(stream, r, upto)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        builtin_stream("factorial_tail", 30),  # every tested N below the shape's start
+        builtin_stream("geometric", 0),  # no shape
+        builtin_stream("alternating"),  # p(n) is negative
+        builtin_stream("reciprocal_factorial"),
+        AtOnly(builtin_stream("harmonic")),  # duck-typed, at-only
+        NegativeDenominator(),
+    ],
+)
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+def test_partial_sum_edge_streams_match_the_sequential_sum(stream, r):
+    for upto in (0, 1, 2, 7, 29, 30, 31, 64):
+        assert partial_sum(stream, EvaluationPoint(r), upto) == sequential_sum(stream, r, upto)
+
+
+def test_partial_sum_on_a_shaped_stream_reads_one_coefficient():
+    stream = Counting(builtin_stream("harmonic"))
+    value = partial_sum(stream, UNIT, 10**4)
+    assert stream.reads <= 1
+    assert value == partial_sum(AtOnly(builtin_stream("harmonic")), UNIT, 10**4)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +347,6 @@ def test_ratio_probe_witness_recheck_from_scratch():
             assert abs(b) * point.r / abs(a) >= report.verdict.threshold
 
 
-class AtOnly:
-    """A stream that defines only ``at``: the probe's generic path."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def at(self, n):
-        return self.stream.at(n)
-
-
 @given(
     st.one_of(
         corpus.builtin_streams(),
@@ -409,6 +495,121 @@ def test_check_modulus_wrong_limit_is_caught():
         builtin_stream("geometric", Fraction(1, 2)), UNIT, Fraction(3), LinearRate(1, 1), 10
     )
     assert isinstance(report.verdict, WitnessedBoundViolation)
+
+
+class Zigzag(RateFunction):
+    """Promised indices taken in turn from ``values``, which may go down as well as up."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def terms_for(self, m, r=Fraction(0)):
+        return self.values[m % len(self.values)]
+
+
+def reference_check_modulus(stream, point, claimed_limit, rate, n_max):
+    """The modulus probe written plainly: every prefix sum held in a list,
+    scanned in (n, offset) order, first failure returned."""
+    claimed_limit = Fraction(claimed_limit)
+    promised = [rate.terms_for(n, point.r) for n in range(n_max + 1)]
+    max_k = max(k0 + MODULUS_SAMPLE_OFFSETS[-1] for k0 in promised)
+    sums = prefix_sums(stream, point, max_k)
+    trace = tuple((k, sums[k]) for k in _trace_indices(max_k))
+    for n in range(n_max + 1):
+        tolerance = Fraction(1, 2 ** n)
+        for offset in MODULUS_SAMPLE_OFFSETS:
+            k = promised[n] + offset
+            distance = abs(sums[k] - claimed_limit)
+            if distance >= tolerance:
+                detail = {
+                    "precision_exponent": n,
+                    "terms": k,
+                    "partial_sum": sums[k],
+                    "distance": distance,
+                    "tolerance": tolerance,
+                }
+                return SeriesProbeReport(
+                    verdict=WitnessedBoundViolation(detail),
+                    witness=(k, sums[k]),
+                    trace=trace,
+                    budget_used=n_max,
+                )
+    return SeriesProbeReport(
+        verdict=ConsistentUpToBudget(n_max), witness=None, trace=trace, budget_used=n_max
+    )
+
+
+def modulus_outcome(probe, *args):
+    try:
+        report = probe(*args)
+    except RateUndefinedError as exc:
+        return "undefined", str(exc)
+    return report.to_text(), report.to_kv()
+
+
+rates = st.one_of(
+    st.integers(0, 20).map(ConstantRate),
+    st.builds(LinearRate, st.integers(0, 3), st.integers(0, 10)),
+    st.lists(
+        st.tuples(st.integers(0, 12), st.fractions(0, 3, max_denominator=4), st.integers(0, 30)),
+        min_size=1,
+        max_size=4,
+    ).map(lambda rows: TabulatedRate(tuple(rows))),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6).map(Zigzag),
+)
+
+
+@given(
+    st.one_of(corpus.builtin_streams(), explicit_streams),
+    st.fractions(0, 3, max_denominator=9),
+    st.fractions(-3, 3, max_denominator=16),
+    rates,
+    st.integers(0, 30),
+)
+@settings(deadline=None)
+def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max):
+    args = (stream, EvaluationPoint(r), limit, rate, n_max)
+    assert modulus_outcome(check_modulus, *args) == modulus_outcome(reference_check_modulus, *args)
+
+
+@pytest.mark.parametrize(
+    "stream, limit, rate, n_max, failure",
+    [
+        # S_0 = 1 is already a whole unit away from 100
+        (builtin_stream("geometric", Fraction(1, 2)), Fraction(100), LinearRate(1, 1), 8, (0, 1)),
+        # |S_k - limit| = 2^-k + 2^-20 first reaches 2^-n at n = 19, k = n + 1
+        (builtin_stream("geometric", Fraction(1, 2)), 2 + Fraction(1, 2**20), LinearRate(1, 1), 24,
+         (19, 20)),
+        (builtin_stream("geometric", Fraction(1, 2)), Fraction(2), LinearRate(1, 1), 30, None),
+        # k = 0 fails first in index order (n = 3), but n = 2 fails at k = 10
+        (builtin_stream("geometric", Fraction(1, 2)), Fraction(9, 4), Zigzag((10, 10, 10, 0)), 5,
+         (2, 10)),
+        (ExplicitStream((Fraction(1), Fraction(-1, 2)), Fraction(0)), Fraction(1, 2),
+         Zigzag((4, 1, 2)), 9, None),
+        (builtin_stream("zero"), Fraction(0), ConstantRate(0), 12, None),
+        # S_k - 2/3 = -(-1/2)^(k+1) * 2/3 has the sign of its shape's denominator
+        (NegativeDenominator(), Fraction(2, 3), LinearRate(1, 0), 16, None),
+        (NegativeDenominator(), Fraction(2, 3), ConstantRate(3), 16, (5, 3)),
+    ],
+)
+def test_check_modulus_fails_first_late_or_never_like_the_reference(
+    stream, limit, rate, n_max, failure
+):
+    report = check_modulus(stream, UNIT, limit, rate, n_max)
+    expected = reference_check_modulus(stream, UNIT, limit, rate, n_max)
+    assert (report.to_text(), report.to_kv()) == (expected.to_text(), expected.to_kv())
+    if failure is None:
+        assert isinstance(report.verdict, ConsistentUpToBudget)
+    else:
+        detail = report.verdict.detail
+        assert (detail["precision_exponent"], detail["terms"]) == failure
+
+
+def test_check_modulus_on_a_shaped_stream_reads_one_coefficient():
+    stream = Counting(builtin_stream("geometric", Fraction(2, 3)))
+    report = check_modulus(stream, UNIT, Fraction(3), LinearRate(2, 4), 2000)
+    assert stream.reads <= 1
+    assert isinstance(report.verdict, ConsistentUpToBudget)
 
 
 # ---------------------------------------------------------------------------

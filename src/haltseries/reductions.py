@@ -33,6 +33,7 @@ CLI prints them (``to_text`` and ``to_kv``).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -420,8 +421,9 @@ def _run_window_literal(
     for k in range(1, budget + 1):
         if cancel is not None and cancel():
             break
-        total += stream.at(k)
+        a = stream.at(k)
         if k <= TRACE_POINTS:
+            total += a
             trace.append((k, total))
         # The first window start tried, k itself, gives the single-point
         # window [k, k] with spread 0 < 2^-k, so it always qualifies and the
@@ -440,14 +442,40 @@ def _run_window_heuristic(
     cancel: Callable[[], bool] | None,
 ) -> DetectorOutcome:
     sums: list[Fraction] = [stream.at(0)]
+    # Monotone stacks over sums[1..]: ``highs`` holds indices whose sums
+    # strictly fall left to right, ``lows`` indices whose sums strictly
+    # rise. The extrema of sums[start..] are each stack's first index at or
+    # after start, the later index winning ties.
+    highs: list[int] = []
+    lows: list[int] = []
     trace: list[tuple[int, Fraction]] = []
     witness_log: list[tuple[int, int]] = []
+    first = 1
+
+    def window(start: int) -> tuple[int, int, Fraction]:
+        hi_at = highs[bisect_left(highs, start)]
+        lo_at = lows[bisect_left(lows, start)]
+        return lo_at, hi_at, sums[hi_at] - sums[lo_at]
+
     for k in range(1, budget + 1):
         if cancel is not None and cancel():
             break
         horizon = knobs.horizon_scale * k
         while len(sums) <= horizon:
-            sums.append(sums[-1] + stream.at(len(sums)))
+            a = stream.at(len(sums))
+            s = sums[-1] + a
+            # The previous index tops both stacks; the term's sign settles it.
+            if highs and a >= 0:
+                highs.pop()
+                while highs and sums[highs[-1]] <= s:
+                    highs.pop()
+            if lows and a <= 0:
+                lows.pop()
+                while lows and sums[lows[-1]] >= s:
+                    lows.pop()
+            highs.append(len(sums))
+            lows.append(len(sums))
+            sums.append(s)
         if k <= TRACE_POINTS:
             trace.append((k, sums[k]))
         tolerance = (
@@ -456,35 +484,17 @@ def _run_window_heuristic(
             else Fraction(1, 2 ** k)
         )
         cap = max(1, int(knobs.window_cap * k))
-        # Suffix extrema of sums[start..horizon], built once per horizon.
-        suffix: list[tuple[Fraction, int, Fraction, int]] = [None] * (horizon + 1)
-        suffix[horizon] = (sums[horizon], horizon, sums[horizon], horizon)
-        for i in range(horizon - 1, 0, -1):
-            high, hi_at, low, lo_at = suffix[i + 1]
-            s = sums[i]
-            if s > high:
-                high, hi_at = s, i
-            if s < low:
-                low, lo_at = s, i
-            suffix[i] = (high, hi_at, low, lo_at)
-        failures = []
-        for start in range(1, cap + 1):
-            high, hi_at, low, lo_at = suffix[start]
-            if high - low < tolerance:
-                witness_log.append((k, start))
-                break
-            failures.append(
-                WindowFailure(
-                    window_start=start, lo_index=lo_at, hi_index=hi_at, gap=high - low
-                )
-            )
-        else:
-            return Halted(
-                k,
-                CauchyWindowCertificate(
-                    horizon=k, tolerance=tolerance, failures=tuple(failures)
-                ),
-            )
+        # The gap over [start, horizon] never grows with start and never
+        # shrinks with the horizon, and the tolerance never grows. So the
+        # qualifying starts are a tail of 1..cap, and no start below the
+        # last witness qualifies again: try it, then bisect the starts above.
+        qualifies = lambda n: window(n)[2] < tolerance
+        if not qualifies(first):
+            first += 1 + bisect_left(range(first + 1, cap + 1), True, key=qualifies)
+        if first > cap:
+            failures = tuple(WindowFailure(n, *window(n)) for n in range(1, cap + 1))
+            return Halted(k, CauchyWindowCertificate(k, tolerance, failures))
+        witness_log.append((k, first))
     return StillRunning(
         budget=len(witness_log), trace=tuple(trace), witness_log=tuple(witness_log)
     )

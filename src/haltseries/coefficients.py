@@ -307,7 +307,7 @@ def parse_series_spec(text: str, base_dir: Path | str = ".") -> CoefficientStrea
             raise ValueError("expected: halting <program-file> <input>")
         path = Path(base_dir) / tokens[1]
         program = parse_program(path.read_text())
-        if not tokens[2].isdigit():
+        if not tokens[2].isdecimal():
             raise ValueError(f"input must be a natural number, got {tokens[2]!r}")
         return HaltingEncoded(program, int(tokens[2]))
 

@@ -280,7 +280,7 @@ def parse_program(text: str) -> MachineProgram:
             instructions.append(Inc(reg))
             continue
         target_text = args[1]
-        if target_text.isdigit():
+        if target_text.isdecimal():
             target = int(target_text)
         elif target_text in labels:
             target = labels[target_text]
@@ -297,7 +297,7 @@ def parse_program(text: str) -> MachineProgram:
 
 
 def _parse_nat(token: str, what: str, line_no: int) -> int:
-    if not token.isdigit():
+    if not token.isdecimal():
         raise MachineParseError(f"{what} must be a decimal natural, got {token!r}", line_no)
     return int(token)
 

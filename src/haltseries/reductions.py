@@ -46,6 +46,7 @@ from .series import (
     TRACE_POINTS,
     exact_line,
     partial_sum,
+    prefix_sums,
     ratio_test_probe,
     trace_lines,
 )
@@ -134,6 +135,8 @@ class CauchyWindowKnobs:
 
     def __post_init__(self):
         object.__setattr__(self, "window_cap", Fraction(self.window_cap))
+        if not isinstance(self.horizon_scale, int):
+            raise ValueError("horizon_scale must be an integer")
         if self.horizon_scale < 1:
             raise ValueError("horizon_scale must be at least 1")
         if not 0 < self.window_cap <= 1:
@@ -512,18 +515,12 @@ def recheck_certificate(
         return value == cert.partial_sum and abs(value) > cert.index
     horizon = knobs.horizon_scale * cert.horizon if knobs else cert.horizon
     cap = max(1, int(knobs.window_cap * cert.horizon)) if knobs else cert.horizon
-    starts_needed = set(range(1, cap + 1))
-    seen = set()
-    for failure in cert.failures:
-        seen.add(failure.window_start)
-        if not (failure.window_start <= failure.lo_index <= horizon):
-            return False
-        if not (failure.window_start <= failure.hi_index <= horizon):
-            return False
-        gap = abs(
-            partial_sum(stream, _POINT_ONE, failure.hi_index)
-            - partial_sum(stream, _POINT_ONE, failure.lo_index)
-        )
-        if gap != failure.gap or gap < cert.tolerance:
-            return False
-    return seen == starts_needed
+    failures = cert.failures
+    if {f.window_start for f in failures} != set(range(1, cap + 1)) or not all(
+        f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)
+    ):
+        return False
+    # One fresh pass from index 0 that shares no state with the runner.
+    sums = prefix_sums(stream, _POINT_ONE, horizon)
+    tol = cert.tolerance
+    return all(abs(sums[f.hi_index] - sums[f.lo_index]) == f.gap >= tol for f in failures)

@@ -192,12 +192,12 @@ def parse_rate_spec(text: str) -> RateFunction:
             raise ValueError("exp_tail takes no parameters")
         return ExpTailRate()
     if kind == "constant":
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdecimal():
             raise ValueError("expected constant:N")
         return ConstantRate(int(parts[1]))
     if kind == "linear":
         fields = text.strip().split(":")
-        if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+        if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
             raise ValueError("expected linear:SLOPE:OFFSET")
         return LinearRate(int(fields[1]), int(fields[2]))
     if kind == "table":
@@ -206,7 +206,7 @@ def parse_rate_spec(text: str) -> RateFunction:
         rows = []
         for chunk in parts[1].split(";"):
             cols = chunk.split(",")
-            if len(cols) != 3 or not cols[0].isdigit() or not cols[2].isdigit():
+            if len(cols) != 3 or not cols[0].isdecimal() or not cols[2].isdecimal():
                 raise ValueError(f"bad table row {chunk!r}, expected M,RBOUND,N")
             rows.append((int(cols[0]), parse_rational(cols[1]), int(cols[2])))
         return TabulatedRate(tuple(rows))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from haltseries import DecJz, Halt, Inc, MachineProgram, builtin_stream, parse_program
+from haltseries.coefficients import CoefficientStream
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,21 @@ def random_program(rng: random.Random, max_len: int = 8, max_regs: int = 4) -> M
         else:
             instructions.append(Halt())
     return MachineProgram(tuple(instructions), register_count)
+
+
+class Counting(CoefficientStream):
+    """Forwards to ``stream`` and counts the coefficients read through ``at``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.reads = 0
+
+    def at(self, n):
+        self.reads += 1
+        return self.stream.at(n)
+
+    def term_shape(self, upto):
+        return self.stream.term_shape(upto)
 
 
 def cantor_pair(a: int, b: int) -> int:

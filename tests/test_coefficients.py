@@ -269,6 +269,12 @@ def test_parse_series_spec_rejects_malformed(text, tmp_path):
         parse_series_spec(text, base_dir=tmp_path)
 
 
+def test_parse_series_spec_rejects_non_decimal_input(tmp_path):
+    (tmp_path / "p.m").write_text("halt\n")
+    with pytest.raises(ValueError, match="input must be a natural number, got '²'"):
+        parse_series_spec("halting p.m ²", base_dir=tmp_path)
+
+
 def test_builtin_id_from_name_variants():
     assert BuiltinId.from_name("Reciprocal-Factorial") is BuiltinId.RECIPROCAL_FACTORIAL
     with pytest.raises(ValueError):

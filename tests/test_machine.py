@@ -74,6 +74,9 @@ def test_parse_missing_operand_is_syntax_error_with_line():
         ("halt 0", 1),
         ("decjz 0", 1),
         ("inc 4096", 1),
+        ("inc ²", 1),  # a digit to isdigit, but no decimal natural
+        ("halt\ndecjz 0 ²", 2),
+        ("registers ²\nhalt", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(source, line):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from haltseries import (
     CauchyWindowCertificate,
@@ -505,6 +505,139 @@ def test_window_heuristic_matches_brute_force_reference(
         assert recheck_certificate(stream, outcome, detector.knobs)
 
 
+def _reference_recheck(stream, outcome, knobs=None):
+    """The window recheck as it was written first: two from-zero
+    ``partial_sum`` calls per failure, bookkeeping the starts seen."""
+    cert = outcome.certificate
+    horizon = knobs.horizon_scale * cert.horizon if knobs else cert.horizon
+    cap = max(1, int(knobs.window_cap * cert.horizon)) if knobs else cert.horizon
+    starts_needed = set(range(1, cap + 1))
+    seen = set()
+    for failure in cert.failures:
+        seen.add(failure.window_start)
+        if not (failure.window_start <= failure.lo_index <= horizon):
+            return False
+        if not (failure.window_start <= failure.hi_index <= horizon):
+            return False
+        gap = abs(
+            partial_sum(stream, UNIT, failure.hi_index)
+            - partial_sum(stream, UNIT, failure.lo_index)
+        )
+        if gap != failure.gap or gap < cert.tolerance:
+            return False
+    return seen == starts_needed
+
+
+def _edit_failure(cert, i, **changes):
+    failures = list(cert.failures)
+    failures[i] = replace(failures[i], **changes)
+    return replace(cert, failures=tuple(failures))
+
+
+# Each takes a certificate and the position ``i`` of one of its failures.
+_TAMPERINGS = {
+    "gap + 1": lambda c, i: _edit_failure(c, i, gap=c.failures[i].gap + 1),
+    "negated gap": lambda c, i: _edit_failure(c, i, gap=-c.failures[i].gap),
+    "lo - 1": lambda c, i: _edit_failure(c, i, lo_index=c.failures[i].lo_index - 1),
+    "hi + 1": lambda c, i: _edit_failure(c, i, hi_index=c.failures[i].hi_index + 1),
+    "start + 1": lambda c, i: _edit_failure(c, i, window_start=c.failures[i].window_start + 1),
+    "lo and hi swapped": lambda c, i: _edit_failure(
+        c, i, lo_index=c.failures[i].hi_index, hi_index=c.failures[i].lo_index
+    ),
+    "tolerance x 1000": lambda c, i: replace(c, tolerance=c.tolerance * 1000),
+    "duplicated failure": lambda c, i: replace(c, failures=c.failures + (c.failures[i],)),
+}
+
+# Edits that keep every cited gap genuine, so only the start set or the
+# tolerance can reject them.
+_EDITS = {
+    None: lambda c, i: c,
+    "duplicate replaces another start": lambda c, i: replace(
+        c, failures=tuple(c.failures[i] for _ in c.failures)
+    ),
+    "extra start above cap": lambda c, i: replace(
+        c,
+        failures=c.failures
+        + (replace(c.failures[i], window_start=len(c.failures) + 1),),
+    ),
+    "tolerance above every gap": lambda c, i: replace(
+        c, tolerance=max(f.gap for f in c.failures) + 1
+    ),
+}
+
+
+@given(
+    stream=st.one_of(_explicit_streams, corpus.builtin_streams()),
+    horizon_scale=st.integers(1, 3),
+    window_cap=st.fractions(min_value=0, max_value=1, max_denominator=6).filter(bool),
+    fixed_tolerance=st.one_of(
+        st.none(), st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8)
+    ),
+    budget=st.integers(1, 40),
+    pick=st.integers(0, 100),
+    edit=st.sampled_from(list(_EDITS)),
+)
+@example(  # S_n = n + 1 halts at k = 5 with cap 2; both failures become start 2's
+    stream=builtin_stream("one"),
+    horizon_scale=2,
+    window_cap=Fraction(1, 2),
+    fixed_tolerance=Fraction(8),
+    budget=20,
+    pick=1,
+    edit="duplicate replaces another start",
+)
+@example(  # halts at k = 5 with cap 2; start 2 cites (4, 10), in range for a start of 3
+    stream=ExplicitStream((1, 0, 0, 0, 0), Fraction(1)),
+    horizon_scale=2,
+    window_cap=Fraction(1, 2),
+    fixed_tolerance=Fraction(6),
+    budget=20,
+    pick=1,
+    edit="extra start above cap",
+)
+@example(  # halts at k = 2 with one failure, start 1 citing (1, 4) with gap 47/60
+    stream=builtin_stream("harmonic"),
+    horizon_scale=2,
+    window_cap=Fraction(1, 2),
+    fixed_tolerance=Fraction(1, 2),
+    budget=20,
+    pick=0,
+    edit="tolerance above every gap",
+)
+@settings(deadline=None, max_examples=200)
+def test_window_recheck_matches_reference_on_genuine_and_tampered_certificates(
+    stream, horizon_scale, window_cap, fixed_tolerance, budget, pick, edit
+):
+    detector = build_cauchy_window_heuristic(stream, horizon_scale, window_cap, fixed_tolerance)
+    outcome = run_detector(detector, budget)
+    assume(outcome.halted)
+    knobs = detector.knobs
+    cert = outcome.certificate
+    i = pick % len(cert.failures)
+    edited = _EDITS[edit](cert, i)
+    candidates = [edited] + [tamper(edited, i) for tamper in _TAMPERINGS.values()]
+    for bad in candidates:
+        changed = replace(outcome, certificate=bad)
+        assert recheck_certificate(stream, changed, knobs) == _reference_recheck(
+            stream, changed, knobs
+        )
+    assert recheck_certificate(stream, outcome, knobs)
+    if edited != cert:
+        assert not recheck_certificate(stream, replace(outcome, certificate=edited), knobs)
+
+
+def test_window_recheck_reads_each_coefficient_once():
+    stream = ExplicitStream((), Fraction(1))
+    detector = build_cauchy_window_heuristic(stream, fixed_tolerance=Fraction(60))
+    outcome = run_detector(detector, 100)
+    cert = outcome.certificate
+    horizon = detector.knobs.horizon_scale * cert.horizon
+    assert len(cert.failures) > 10
+    counting = corpus.Counting(stream)
+    assert recheck_certificate(counting, outcome, detector.knobs)
+    assert counting.reads <= horizon + 1
+
+
 def test_window_heuristic_comparisons_grow_linearly_in_budget(monkeypatch):
     """Each horizon costs a few exact comparisons, not a rescan of its windows."""
     count = 0
@@ -540,8 +673,9 @@ def test_detector_program_validation_and_description():
     stream = builtin_stream("one")
     with pytest.raises(ValueError):
         DetectorProgram(DetectorKind.THRESHOLD, stream, CauchyWindowKnobs())
-    with pytest.raises(ValueError):
-        CauchyWindowKnobs(horizon_scale=0)
+    for scale in (0, 1.5, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            CauchyWindowKnobs(horizon_scale=scale)
     with pytest.raises(ValueError):
         CauchyWindowKnobs(window_cap=Fraction(3, 2))
     with pytest.raises(ValueError):

@@ -102,21 +102,6 @@ class AtOnly:
         return self.stream.at(n)
 
 
-class Counting(CoefficientStream):
-    """Forwards to ``stream`` and counts the coefficients read through ``at``."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.reads = 0
-
-    def at(self, n):
-        self.reads += 1
-        return self.stream.at(n)
-
-    def term_shape(self, upto):
-        return self.stream.term_shape(upto)
-
-
 class NegativeDenominator(CoefficientStream):
     """``(-1/2)^n`` with its ratio written as ``1 / -2``: a shape may put the sign below."""
 
@@ -178,7 +163,7 @@ def test_partial_sum_edge_streams_match_the_sequential_sum(stream, r):
 
 
 def test_partial_sum_on_a_shaped_stream_reads_one_coefficient():
-    stream = Counting(builtin_stream("harmonic"))
+    stream = corpus.Counting(builtin_stream("harmonic"))
     value = partial_sum(stream, UNIT, 10**4)
     assert stream.reads <= 1
     assert value == partial_sum(AtOnly(builtin_stream("harmonic")), UNIT, 10**4)
@@ -243,6 +228,22 @@ def test_parse_rate_spec_forms():
     for bad in ("exp_tail:1", "constant:x", "linear:1", "table:1,2", "table:1,1/0,5", "wat"):
         with pytest.raises(ValueError):
             parse_rate_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("constant:²", "expected constant:N"),
+        ("linear:²:1", "expected linear:SLOPE:OFFSET"),
+        ("linear:1:²", "expected linear:SLOPE:OFFSET"),
+        ("table:²,1,5", "bad table row"),
+        ("table:5,1,²", "bad table row"),
+    ],
+)
+def test_parse_rate_spec_rejects_non_decimal_digits(text, message):
+    # "²" passes str.isdigit but not int(); each form keeps its own message
+    with pytest.raises(ValueError, match=message):
+        parse_rate_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ def test_check_modulus_fails_first_late_or_never_like_the_reference(
 
 
 def test_check_modulus_on_a_shaped_stream_reads_one_coefficient():
-    stream = Counting(builtin_stream("geometric", Fraction(2, 3)))
+    stream = corpus.Counting(builtin_stream("geometric", Fraction(2, 3)))
     report = check_modulus(stream, UNIT, Fraction(3), LinearRate(2, 4), 2000)
     assert stream.reads <= 1
     assert isinstance(report.verdict, ConsistentUpToBudget)

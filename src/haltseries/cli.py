@@ -248,15 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+
+
 def _nat(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "a natural number")
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "a positive integer")
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value

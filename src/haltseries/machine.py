@@ -366,16 +366,66 @@ def step(program: MachineProgram, state: MachineState) -> MachineState:
     return MachineState(n, regs, steps)
 
 
+# A probe gives up after _CYCLE_CAP steps. A head whose probe did not pay off
+# rests for _QUIET times the probe's steps, so failed probes cost a fixed share.
+_CYCLE_CAP = 1 << 12
+_QUIET = 8
+
+
+def _cycle(code: tuple, regs: list[int], head: int, room: int) -> tuple[int, int, dict[int, int]]:
+    """Probe one pass of the loop headed at ``head`` without changing ``regs``.
+
+    Returns ``(length, passes, deltas)``: a pass takes ``length`` steps and
+    adds ``deltas[r]`` to register ``r``, and the next ``passes`` passes fit
+    in ``room`` and take one path, as every zero test still finds zero and
+    every decrement a positive value. ``passes`` is 0 when the probe halts,
+    leaves the program or runs ``min(room, _CYCLE_CAP)`` steps unreturned.
+    """
+    values, low, zeros = {}, {}, set()  # written values, least decremented, zero-tested
+    pc, length, limit = head, 0, min(room, _CYCLE_CAP)
+    while length < limit and pc < len(code):
+        op, a, b = code[pc]
+        length += 1
+        if op == _OP_INC:
+            values[a] = values.get(a, regs[a]) + 1
+            pc += 1
+        elif op == _OP_DECJZ:
+            v = values.get(a, regs[a])
+            if v > 0:
+                values[a] = v - 1
+                low[a] = min(low.get(a, v), v)
+                pc += 1
+            else:
+                zeros.add(a)
+                pc = b
+        else:
+            break
+        if pc == head:
+            deltas = {r: v - regs[r] for r, v in values.items() if v != regs[r]}
+            passes = room // length
+            for r, d in deltas.items():
+                if r in zeros:
+                    passes = min(passes, 1)
+                elif d < 0:
+                    passes = min(passes, (low[r] - 1) // -d + 1)
+            return length, passes, deltas
+    return length, 0, {}
+
+
 class MachineRun:
     """One run of a program on one input, resumable at any step count.
 
     ``registers``, ``pc`` and ``steps`` are the live interpreter state;
     ``halt_step`` is the step count at halt once the run has reached it,
     else ``None``. This is the only place programs are executed outside
-    the single-step reference semantics of :func:`step`.
+    the single-step reference semantics of :func:`step`. ``advance`` is the
+    only loop that changes a run's state: at a loop head it applies at once
+    the passes that :func:`_cycle`, which only reads, shows to follow one
+    path, so a loop costs O(1) per exit and the state stays exactly what
+    :func:`step` gives.
     """
 
-    __slots__ = ("program", "registers", "pc", "steps", "halt_step")
+    __slots__ = ("program", "registers", "pc", "steps", "halt_step", "_quiet")
 
     def __init__(self, program: MachineProgram, input_value: int):
         if input_value < 0:
@@ -386,12 +436,14 @@ class MachineRun:
         self.pc = 0
         self.steps = 0
         self.halt_step: int | None = None
+        self._quiet: dict[int, int] = {}  # loop head -> first step it may be probed again
 
     def advance(self, budget: int) -> int | None:
         """Run on until halted or ``budget`` steps in total; return ``halt_step``."""
         code = self.program._code
         n = len(code)
         regs = self.registers
+        quiet = self._quiet
         pc = self.pc
         steps = self.steps
         while steps < budget and pc < n:
@@ -406,6 +458,15 @@ class MachineRun:
                     regs[a] = v - 1
                     pc += 1
                 else:
+                    # Fall-through only moves forward, so every loop closes
+                    # with a backward jump like this one.
+                    if b <= pc and quiet.get(b, 0) <= steps:
+                        length, passes, deltas = _cycle(code, regs, b, budget - steps)
+                        for r, d in deltas.items():
+                            regs[r] += passes * d
+                        steps += passes * length
+                        if passes < 2:
+                            quiet[b] = steps + _QUIET * length
                     pc = b
             else:
                 pc = n

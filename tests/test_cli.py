@@ -94,6 +94,30 @@ def test_negative_input_and_zero_budget_exit_one(halt_file, flags, message, caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--input", "x", "--budget", "10"], "argument --input: must be a natural number, got 'x'"),
+        (["--input", "0", "--budget", "abc"], "argument --budget: must be a positive integer, got 'abc'"),
+    ],
+    ids=["input", "budget"],
+)
+def test_non_integer_flags_exit_one_with_a_plain_message(halt_file, argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", halt_file, *argv])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_non_integer_code_to_decode_exits_one_with_a_plain_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["encode", "--decode", "x"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --decode: must be a natural number, got 'x'\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------

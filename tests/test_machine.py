@@ -1,5 +1,13 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import haltseries
 
 from haltseries import (
     DecJz,
@@ -21,7 +29,7 @@ from haltseries import (
     run_bounded,
     step,
 )
-from haltseries.machine import MachineRun
+from haltseries.machine import _OP_DECJZ, _OP_INC, MachineRun
 
 import corpus
 
@@ -205,11 +213,12 @@ def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
 
 @given(
     corpus.programs(),
-    st.integers(0, 5),
-    st.lists(st.integers(0, 60), min_size=1, max_size=6).map(sorted),
+    st.integers(0, 300),
+    st.lists(st.integers(0, 3000), min_size=1, max_size=6).map(sorted),
 )
 @settings(deadline=None)
 def test_resumed_run_agrees_with_single_stepping(program, input_value, budgets):
+    # Inputs and budgets large enough for loop macro-steps of many passes.
     run = MachineRun(program, input_value)
     state = initial_state(program, input_value)
     for budget in budgets:
@@ -236,6 +245,152 @@ def test_halted_by_is_monotone(program, input_value, a, b):
     lo, hi = sorted((a, b))
     if halted_by(program, input_value, lo):
         assert halted_by(program, input_value, hi)
+
+
+# ---------------------------------------------------------------------------
+# loop macro-steps against a plain one-step loop
+# ---------------------------------------------------------------------------
+
+DOUBLER = "loop: decjz 0 done\ninc 1\ninc 1\ndecjz 2 loop\ndone: halt"  # halts at 4x+2
+SPIN = "loop: inc 1\ndecjz 2 loop"
+# two decrements of register 0 per pass: the second finds the smaller value
+HALVER = "loop: decjz 0 done\ndecjz 0 done\ninc 1\ndecjz 2 loop\ndone: halt"
+# Each outer pass grows register 1, then moves it to register 2 and back, so
+# the inner loops' exit register is zero-tested and changes every outer pass.
+# Halts at 3x^2 + 8x + 2.
+NESTED = """\
+outer: decjz 0 done
+       inc 1
+there: decjz 1 back
+       inc 2
+       decjz 3 there
+back:  decjz 2 next
+       inc 1
+       decjz 3 back
+next:  decjz 3 outer
+done:  halt
+"""
+
+
+def multiplier(k: int) -> str:
+    """Leaves k*x in register 1 through an inner loop per unit; halts at x*(4k+3)+2."""
+    return (
+        "outer: decjz 0 done\n" + "inc 2\n" * k
+        + "inner: decjz 2 next\ninc 1\ndecjz 3 inner\nnext: decjz 3 outer\ndone: halt\n"
+    )
+
+
+def _single_steps(program, input_value, budgets):
+    """The state after each budget, one loop iteration per step (no macro-steps)."""
+    code = program._code
+    n = len(code)
+    regs = [0] * program.register_count
+    regs[0] = input_value
+    pc = steps = 0
+    states = []
+    for budget in budgets:
+        while steps < budget and pc < n:
+            op, a, b = code[pc]
+            steps += 1
+            if op == _OP_INC:
+                regs[a] += 1
+                pc += 1
+            elif op == _OP_DECJZ:
+                v = regs[a]
+                if v:
+                    regs[a] = v - 1
+                    pc += 1
+                else:
+                    pc = b
+            else:
+                pc = n
+        states.append((pc, tuple(regs), steps, steps if pc >= n else None))
+    return states
+
+
+def _macro_steps(program, input_value, budgets):
+    run = MachineRun(program, input_value)
+    states = []
+    for budget in budgets:
+        halt_step = run.advance(budget)
+        states.append((run.pc, tuple(run.registers), run.steps, halt_step))
+    return states
+
+
+LOOPS = {
+    "doubler": DOUBLER,
+    "spin": SPIN,
+    "halver": HALVER,
+    "nested": NESTED,
+    "multiplier1": multiplier(1),
+    "multiplier4": multiplier(4),
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+@pytest.mark.parametrize("input_value", [0, 1, 2, 5, 61, 150, 1001])
+def test_loop_macro_steps_agree_with_a_plain_loop(name, input_value):
+    program = parse_program(LOOPS[name])
+    budgets = [1, 2, 7, 100, 1001, 12_345, 12_346, 99_999, 10 ** 5]
+    assert _macro_steps(program, input_value, budgets) == _single_steps(
+        program, input_value, budgets
+    )
+
+
+def test_loop_macro_steps_agree_with_a_plain_loop_on_random_programs():
+    rng = random.Random(10)
+    for _ in range(60):
+        program = corpus.random_program(rng, max_len=10)
+        input_value = rng.randint(0, 300)
+        budgets = sorted(rng.randint(0, 2 * 10 ** 4) for _ in range(3))
+        expected = _single_steps(program, input_value, budgets)
+        assert _macro_steps(program, input_value, budgets) == expected, program
+
+
+def test_closed_form_halt_steps():
+    assert run_bounded(parse_program(NESTED), 60, 10 ** 5) == HaltedAt(3 * 60 ** 2 + 8 * 60 + 2)
+    assert run_bounded(parse_program(multiplier(4)), 61, 10 ** 5) == HaltedAt(61 * 19 + 2)
+
+
+_LOOPS_COST_PER_EXIT_CHILD = """
+import sys
+from haltseries import parse_program, run_bounded
+from haltseries.cli import main
+from haltseries.coefficients import HaltingEncoded
+
+doubler, x = parse_program(sys.argv[1]), 10 ** 12
+print(run_bounded(doubler, x, 10 ** 13))
+print(run_bounded(parse_program(sys.argv[2]), 10 ** 9, 10 ** 12))
+print(run_bounded(parse_program(sys.argv[3]), 0, 10 ** 15))
+print(HaltingEncoded(doubler, x).term_shape(5 * x).start)
+with open("doubler.m", "w") as f:
+    f.write(sys.argv[1])
+print(main(["simulate", "doubler.m", "--input", str(x), "--budget", str(5 * x)]))
+"""
+
+
+def test_loops_cost_o1_per_exit(tmp_path):
+    # Single-stepping these runs would take days; a macro-step per loop
+    # exit finishes them at once. The child's timeout fails the test.
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOOPS_COST_PER_EXIT_CHILD, DOUBLER, multiplier(5), SPIN],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=60,
+    )
+    x = 10 ** 12
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        repr(HaltedAt(4 * x + 2)),
+        repr(HaltedAt(10 ** 9 * 23 + 2)),  # multiplier(5): x(4k + 3) + 2
+        repr(RunningAfter(10 ** 15)),
+        str(4 * x + 2),
+        "HALTED at step 4000000000002",
+        "0",
+    ]
 
 
 # ---------------------------------------------------------------------------

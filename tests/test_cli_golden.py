@@ -89,6 +89,19 @@ SERIES = {
     "halting_countdown.s": "halting countdown.m 2",
 }
 
+# Inputs whose outputs carry values of more than 4300 digits: factorials in
+# the forward preview and in threshold certificates, sums with huge
+# denominators or integer parts, and a program whose code is that long.
+LONG_PROGRAM = "".join(
+    f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
+    for i in range(400)
+) + "halt\n"
+
+LARGE_INPUTS = {
+    "long.m": LONG_PROGRAM,
+    "halting_doubler.s": "halting doubler.m 1200\n",
+}
+
 BAD_SERIES = {
     "bad_empty.s": "# nothing",
     "bad_builtin.s": "builtin",
@@ -196,6 +209,19 @@ def _cases() -> list[list[str]]:
         add(["encode", "--decode", code])
     add(["encode"])
 
+    for x, r in (("1200", "1/2"), ("2500", "1")):
+        add(["forward", "doubler.m", "--input", x, "--r", r, "--budget", "20000"])
+        add(["forward", "doubler.m", "--input", x, "--r", r, "--budget", "20000", "--kv"])
+    for r in ("1", "1/3"):
+        add(["eval", "recip.s", "--r", r, "-m", "20000", "--rate", "exp_tail"])
+    add(["eval", "harmonic.s", "--r", "1", "-m", "0", "--rate", "constant:20000"])
+    add(["eval", "ftail3.s", "--r", "1", "-m", "0", "--rate", "constant:3000"])
+    for flags in ([], ["--kv"]):
+        add(["probe", "ftail3.s", "--kind", "ratio", "--r", "7e300", "--threshold", "2",
+             "--budget", "30", *flags])
+        add(["detect", "halting_doubler.s", "--kind", "threshold", "--budget", "5000", *flags])
+    add(["encode", "long.m"])
+
     add([])
     add(["nope"])
     add(["simulate", "halt.m", "--input", "-1", "--budget", "10"])
@@ -213,6 +239,8 @@ def _write_inputs(directory: Path) -> None:
         (directory / name).write_text(text)
     for name, text in {**SERIES, **BAD_SERIES}.items():
         (directory / name).write_text(text + "\n")
+    for name, text in LARGE_INPUTS.items():
+        (directory / name).write_text(text)
 
 
 def _digest(argv: list[str]) -> str:

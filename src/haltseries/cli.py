@@ -181,7 +181,7 @@ def _cmd_encode(ns) -> int:
         return _fail("encode requires a machine file or --decode CODE")
     program = _load_program(ns.machine_file)
     code = encode_godel(program)
-    print(code)
+    print(format_rational(code))
     if decode_godel(code) != program:
         return _fail("round-trip check failed")  # pragma: no cover
     return EXIT_WITNESS
@@ -306,6 +306,8 @@ def _main(argv: list[str] | None) -> int:
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail("out of memory")
 
 
 def app() -> None:

@@ -12,8 +12,10 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,7 +260,40 @@ def parse_rational(text: Fraction | int | str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Lowest-terms ``p/q`` text; integers print without a denominator."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    text = _int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
+
+
+def _int_text(value: int) -> str:
+    """``str(value)`` in subquadratic time (``str`` is quadratic before 3.12).
+
+    The value splits at half its bit length and is rebuilt as
+    ``lo + hi * 2**w`` in ``decimal``, whose large products are
+    subquadratic (Brent and Zimmermann, *Modern Computer Arithmetic* 1.7).
+    Over the int-digit limit, ``str`` raises the interpreter's own error.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = value.bit_length()
+    if bits <= 2048 or limit and bits > 4 * limit:  # at most 617 digits, or over 16**limit
+        return str(value)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                            traps=[decimal.Inexact])
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(n: int, width: int) -> decimal.Decimal:
+        if width <= 2048:
+            return decimal.Decimal(n)
+        half = width >> 1
+        if half not in powers:
+            powers[half] = exact.power(2, half)
+        hi = n >> half
+        return exact.fma(convert(hi, width - half), powers[half], convert(n - (hi << half), half))
+
+    text = str(convert(abs(value), bits))
+    if limit and len(text) > limit:
+        return str(value)
+    return "-" + text if value < 0 else text
 
 
 def approx_decimal(value: Fraction, digits: int = 12) -> str:
@@ -271,7 +306,7 @@ def approx_decimal(value: Fraction, digits: int = 12) -> str:
         q += 1
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{_int_text(whole)}.{frac:0{digits}d}"
 
 
 def parse_series_spec(text: str, base_dir: Path | str = ".") -> CoefficientStream:

@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import haltseries
 from haltseries import (
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
@@ -592,6 +596,27 @@ def test_encode_round_trips_through_the_cli(three_file, capsys):
     assert parse_program(text) == decode_godel(number)
 
 
+def test_encode_prints_and_decodes_a_code_over_4300_digits(tmp_path, capsys):
+    text = "".join(
+        f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
+        for i in range(400)
+    ) + "halt\n"
+    path = tmp_path / "long.machine"
+    path.write_text(text)
+    program = parse_program(text)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(encode_godel(program))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(expected) > 4300
+    assert main(["encode", str(path)]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert main(["encode", "--decode", expected]) == 0
+    assert parse_program(capsys.readouterr().out) == program
+
+
 def test_encode_invalid_code_exits_one(capsys):
     # register 3 with register count 1 (pair-built by hand): rejected
     code = main(["encode", "--decode", "666"])
@@ -608,3 +633,26 @@ def test_reports_have_no_timestamps(tmp_path, capsys):
     main(["detect", spec, "--kind", "threshold", "--budget", "5"])
     out = capsys.readouterr().out
     assert "20" not in out.replace("after 5", "")  # no dates, no clock artifacts
+
+
+def test_out_of_memory_exits_one_with_a_message(tmp_path):
+    # A window horizon of 10^8 terms of the harmonic series sums fractions
+    # until the address space runs out.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2 ** 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    spec = series_file(tmp_path, "builtin harmonic")
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "haltseries.cli", "detect", spec, "--kind", "cauchy-heuristic",
+         "--budget", "1", "--horizon-scale", "100000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")

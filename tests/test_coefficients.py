@@ -1,3 +1,5 @@
+import contextlib
+import decimal
 import math
 import random
 import sys
@@ -5,12 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from haltseries import (
     BuiltinId,
     ExplicitStream,
     HaltingEncoded,
+    SeriesProbeReport,
+    WitnessedDivergence,
     approx_decimal,
     builtin_stream,
     format_rational,
@@ -20,6 +24,7 @@ from haltseries import (
     parse_series_spec,
     run_bounded,
 )
+from haltseries.coefficients import _int_text
 
 import corpus
 
@@ -229,6 +234,73 @@ def test_approx_decimal_is_deterministic_round_half_even():
     # ties land on the even neighbor
     assert approx_decimal(Fraction(5, 10 ** 13)) == "0.000000000000"
     assert approx_decimal(Fraction(15, 10 ** 13)) == "0.000000000002"
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# Random magnitudes of up to 200k bits, and powers of two and their
+# neighbours anywhere in that range or around the 2048-bit cut to plain str.
+magnitudes = st.one_of(
+    st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
+              st.integers(0, 200_000), st.integers(0, 2 ** 32)),
+    st.builds(lambda k, d: 2 ** k + d,
+              st.integers(2040, 2056) | st.integers(0, 200_000), st.sampled_from((-1, 0, 1))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnitudes, st.sampled_from((1, -1)))
+@example(0, 1)
+@example(2 ** 2048, -1)
+@example(2 ** 2049 - 1, 1)
+def test_int_text_matches_str(magnitude, sign):
+    value = sign * magnitude
+    with int_digit_limit(0):
+        assert _int_text(value) == str(value)
+        assert format_rational(Fraction(sign, magnitude + 1)) == str(Fraction(sign, magnitude + 1))
+
+
+def test_int_text_never_rounds(monkeypatch):
+    # Its decimal context traps Inexact, so a precision too small for the
+    # value raises instead of printing rounded digits.
+    monkeypatch.setattr(decimal, "MAX_PREC", 50)
+    with int_digit_limit(0), pytest.raises(decimal.Inexact):
+        _int_text(3 ** 5000)
+
+
+def assert_same_limit_error(render, value):
+    with pytest.raises(ValueError) as ours:
+        render()
+    with pytest.raises(ValueError) as plain:
+        str(value)
+    assert str(ours.value) == str(plain.value)
+
+
+def test_format_rational_keeps_the_int_digit_limit():
+    with int_digit_limit(640):
+        assert format_rational(Fraction(-(10 ** 639), 7)) == "-1" + "0" * 639 + "/7"
+        for value in (10 ** 640, -(10 ** 640), 10 ** 5000):
+            assert_same_limit_error(lambda: format_rational(Fraction(value)), value)
+            assert_same_limit_error(lambda: format_rational(Fraction(1, value)), value)
+
+
+def test_report_text_keeps_the_int_digit_limit():
+    def report(value):
+        verdict = WitnessedDivergence(index=0, ratio=Fraction(2), threshold=Fraction(2))
+        return SeriesProbeReport(verdict, (0, Fraction(value)), (), 1)
+
+    with int_digit_limit(640):
+        value = 10 ** 639 + 7
+        assert f"witness value: {value} (approx {value}.000000000000)\n" in report(value).to_text()
+        assert_same_limit_error(lambda: report(10 ** 640).to_text(), 10 ** 640)
 
 
 def test_parse_series_spec_builtin():

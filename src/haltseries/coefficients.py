@@ -268,14 +268,15 @@ def format_rational(value: Fraction) -> str:
 def _int_text(value: int) -> str:
     """``str(value)`` in subquadratic time (``str`` is quadratic before 3.12).
 
-    The value splits at half its bit length and is rebuilt as
-    ``lo + hi * 2**w`` in ``decimal``, whose large products are
-    subquadratic (Brent and Zimmermann, *Modern Computer Arithmetic* 1.7).
+    Above 2**32768 (where ``str`` stops being faster), the value splits at
+    half its bit length and is rebuilt as ``lo + hi * 2**w`` in
+    ``decimal``, whose large products are subquadratic (Brent and
+    Zimmermann, *Modern Computer Arithmetic* 1.7), down to 2048-bit leaves.
     Over the int-digit limit, ``str`` raises the interpreter's own error.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bits = value.bit_length()
-    if bits <= 2048 or limit and bits > 4 * limit:  # at most 617 digits, or over 16**limit
+    if bits <= 32768 or limit and bits > 4 * limit:  # 2**(4 * limit) > 10**limit
         return str(value)
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                             traps=[decimal.Inexact])

@@ -247,20 +247,22 @@ def int_digit_limit(limit):
 
 
 # Random magnitudes of up to 200k bits, and powers of two and their
-# neighbours anywhere in that range or around the 2048-bit cut to plain str.
+# neighbours anywhere in that range, around the 32768-bit cut to plain str,
+# and near 2**16 bits, whose halvings meet the 2048-bit leaf cut exactly.
 magnitudes = st.one_of(
     st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
               st.integers(0, 200_000), st.integers(0, 2 ** 32)),
     st.builds(lambda k, d: 2 ** k + d,
-              st.integers(2040, 2056) | st.integers(0, 200_000), st.sampled_from((-1, 0, 1))),
+              st.integers(0, 200_000) | st.integers(32_760, 32_776) | st.integers(65_530, 65_542),
+              st.sampled_from((-1, 0, 1))),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(magnitudes, st.sampled_from((1, -1)))
 @example(0, 1)
-@example(2 ** 2048, -1)
-@example(2 ** 2049 - 1, 1)
+@example(2 ** 32768, -1)
+@example(2 ** 65536 - 1, 1)
 def test_int_text_matches_str(magnitude, sign):
     value = sign * magnitude
     with int_digit_limit(0):
@@ -273,7 +275,7 @@ def test_int_text_never_rounds(monkeypatch):
     # value raises instead of printing rounded digits.
     monkeypatch.setattr(decimal, "MAX_PREC", 50)
     with int_digit_limit(0), pytest.raises(decimal.Inexact):
-        _int_text(3 ** 5000)
+        _int_text(3 ** 50_000)
 
 
 def assert_same_limit_error(render, value):
@@ -284,23 +286,27 @@ def assert_same_limit_error(render, value):
     assert str(ours.value) == str(plain.value)
 
 
-def test_format_rational_keeps_the_int_digit_limit():
-    with int_digit_limit(640):
-        assert format_rational(Fraction(-(10 ** 639), 7)) == "-1" + "0" * 639 + "/7"
-        for value in (10 ** 640, -(10 ** 640), 10 ** 5000):
+# 640 is the smallest limit the interpreter accepts; at 10,000 digits the
+# values are past the 32768-bit cut, so the divide-and-conquer path renders them.
+@pytest.mark.parametrize("limit", [640, 10_000])
+def test_format_rational_keeps_the_int_digit_limit(limit):
+    with int_digit_limit(limit):
+        assert format_rational(Fraction(-(10 ** (limit - 1)), 7)) == f"-1{'0' * (limit - 1)}/7"
+        for value in (10 ** limit, -(10 ** limit), 10 ** (5 * limit)):
             assert_same_limit_error(lambda: format_rational(Fraction(value)), value)
             assert_same_limit_error(lambda: format_rational(Fraction(1, value)), value)
 
 
-def test_report_text_keeps_the_int_digit_limit():
+@pytest.mark.parametrize("limit", [640, 10_000])
+def test_report_text_keeps_the_int_digit_limit(limit):
     def report(value):
         verdict = WitnessedDivergence(index=0, ratio=Fraction(2), threshold=Fraction(2))
         return SeriesProbeReport(verdict, (0, Fraction(value)), (), 1)
 
-    with int_digit_limit(640):
-        value = 10 ** 639 + 7
+    with int_digit_limit(limit):
+        value = 10 ** (limit - 1) + 7
         assert f"witness value: {value} (approx {value}.000000000000)\n" in report(value).to_text()
-        assert_same_limit_error(lambda: report(10 ** 640).to_text(), 10 ** 640)
+        assert_same_limit_error(lambda: report(10 ** limit).to_text(), 10 ** limit)
 
 
 def test_parse_series_spec_builtin():

@@ -70,6 +70,14 @@ NON_HALTING = (
 )
 
 
+# 400 labelled instructions whose Goedel code has 10,555 digits, past the
+# interpreter's default 4,300-digit limit.
+LONG_PROGRAM = "".join(
+    f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
+    for i in range(400)
+) + "halt\n"
+
+
 def halting_programs() -> list[tuple[HaltingCase, MachineProgram]]:
     return [(case, parse_program(case.source)) for case in HALTING]
 

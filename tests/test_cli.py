@@ -19,6 +19,8 @@ from haltseries import (
 )
 from haltseries.cli import main
 
+import corpus
+
 
 @pytest.fixture
 def halt_file(tmp_path):
@@ -597,13 +599,9 @@ def test_encode_round_trips_through_the_cli(three_file, capsys):
 
 
 def test_encode_prints_and_decodes_a_code_over_4300_digits(tmp_path, capsys):
-    text = "".join(
-        f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
-        for i in range(400)
-    ) + "halt\n"
     path = tmp_path / "long.machine"
-    path.write_text(text)
-    program = parse_program(text)
+    path.write_text(corpus.LONG_PROGRAM)
+    program = parse_program(corpus.LONG_PROGRAM)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -29,6 +29,8 @@ from pathlib import Path
 
 from haltseries.cli import main
 
+import corpus
+
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 MACHINES = {
@@ -92,13 +94,8 @@ SERIES = {
 # Inputs whose outputs carry values of more than 4300 digits: factorials in
 # the forward preview and in threshold certificates, sums with huge
 # denominators or integer parts, and a program whose code is that long.
-LONG_PROGRAM = "".join(
-    f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
-    for i in range(400)
-) + "halt\n"
-
 LARGE_INPUTS = {
-    "long.m": LONG_PROGRAM,
+    "long.m": corpus.LONG_PROGRAM,
     "halting_doubler.s": "halting doubler.m 1200\n",
 }
 

@@ -31,6 +31,7 @@ from .machine import (
     run_bounded,
 )
 from .reductions import (
+    CauchyWindowKnobs,
     DetectorOutcome,
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("threshold", "cauchy", "cauchy-heuristic"), required=True
     )
     p.add_argument("--budget", type=_positive, required=True)
-    p.add_argument("--horizon-scale", type=_positive, default=2)
-    p.add_argument("--window-cap", default="1/2")
+    p.add_argument("--horizon-scale", type=_positive, default=CauchyWindowKnobs.horizon_scale)
+    p.add_argument("--window-cap", default=str(CauchyWindowKnobs.window_cap))
     p.add_argument("--tolerance", default=None)
     p.add_argument("--show-program", action="store_true")
     p.add_argument("--kv", action="store_true")

@@ -40,6 +40,7 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
+_APPROX_DIGITS = 12
 
 
 def _factorial(stream, n: int) -> int:
@@ -63,11 +64,11 @@ class TermShape:
 
     Terms are zero below ``start`` and nonzero from ``start`` on, where
     ``a_{n+1} / a_n = (num[0]*n + num[1]) / (den[0]*n + den[1])``, both
-    linear forms being nonzero. ``start`` is ``None`` when every term up
-    to that index is zero.
+    linear forms being nonzero. ``start`` lies past that index when every
+    term up to it is zero.
     """
 
-    start: int | None
+    start: int
     num: tuple[int, int] = (0, 1)
     den: tuple[int, int] = (0, 1)
 
@@ -76,7 +77,6 @@ class TermShape:
         return Fraction(self.num[0] * n + self.num[1], self.den[0] * n + self.den[1])
 
 
-_ALL_ZERO = TermShape(None)
 _FACTORIAL_RATIO = ((1, 1), (0, 1))
 
 
@@ -134,7 +134,7 @@ class HaltingEncoded(CoefficientStream):
     def term_shape(self, upto: int) -> TermShape:
         """Zero below the halt step, ``n!`` (ratio ``n + 1``) from it on."""
         halt = self._halt_step_within(upto)
-        return _ALL_ZERO if halt is None else TermShape(halt, *_FACTORIAL_RATIO)
+        return TermShape(upto + 1 if halt is None else halt, *_FACTORIAL_RATIO)
 
 
 class BuiltinId(enum.Enum):
@@ -201,11 +201,11 @@ class BuiltinStream(CoefficientStream):
         return self.params[0] ** n  # geometric
 
     def term_shape(self, upto: int) -> TermShape | None:
-        """Every builtin but ``geometric 0`` is hypergeometric; the shape
-        does not depend on ``upto``."""
+        """Every builtin but ``geometric 0`` is hypergeometric. Only
+        ``zero``'s shape depends on ``upto``: it starts just past it."""
         b = self.builtin_id
         if b is BuiltinId.ZERO:
-            return _ALL_ZERO
+            return TermShape(upto + 1)
         if b is BuiltinId.ONE:
             return TermShape(0)
         if b is BuiltinId.HARMONIC:
@@ -297,9 +297,9 @@ def _int_text(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-def approx_decimal(value: Fraction, digits: int = 12) -> str:
-    """Deterministic decimal approximation (round half to even)."""
-    scale = 10 ** digits
+def approx_decimal(value: Fraction) -> str:
+    """Deterministic decimal approximation to 12 places (round half to even)."""
+    scale = 10 ** _APPROX_DIGITS
     num = value.numerator * scale
     den = value.denominator
     q, r = divmod(num, den)
@@ -307,7 +307,7 @@ def approx_decimal(value: Fraction, digits: int = 12) -> str:
         q += 1
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), scale)
-    return f"{sign}{_int_text(whole)}.{frac:0{digits}d}"
+    return f"{sign}{_int_text(whole)}.{frac:0{_APPROX_DIGITS}d}"
 
 
 def parse_series_spec(text: str, base_dir: Path | str = ".") -> CoefficientStream:

@@ -26,8 +26,8 @@ degenerate, plus clearly-labeled heuristic variants.
   correctness claim.
 
 Detector outcomes carry exact certificates that re-check by independent
-recomputation of the cited partial sums, and render themselves as the
-CLI prints them (``to_text`` and ``to_kv``).
+recomputation of the cited partial sums under the runner's own rule, and
+render themselves as the CLI prints them (``to_text`` and ``to_kv``).
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ class DetectorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CauchyWindowKnobs:
-    """Heuristic parameters; presence of knobs marks a detector as a
+    """The Cauchy-window rule; presence of knobs marks a detector as a
     heuristic variant with no correctness claim.
 
     ``horizon_scale`` widens each horizon k to ``horizon_scale * k``
     partial sums; ``window_cap`` restricts the window start to
     ``max(1, floor(window_cap * k))``; ``fixed_tolerance`` replaces the
-    shrinking ``2^-k`` tolerance when set.
+    shrinking ``2^-k`` tolerance when set; only :meth:`rule` applies them.
     """
 
     horizon_scale: int = 2
@@ -146,6 +146,15 @@ class CauchyWindowKnobs:
             object.__setattr__(self, "fixed_tolerance", tol)
             if tol <= 0:
                 raise ValueError("fixed_tolerance must be positive")
+
+    def rule(self, k: int) -> tuple[int, int, Fraction]:
+        """Horizon k's last partial-sum index, largest window start and tolerance."""
+        tolerance = self.fixed_tolerance or Fraction(1, 2 ** k)
+        return self.horizon_scale * k, max(1, int(self.window_cap * k)), tolerance
+
+
+#: The literal detector's rule: horizon k, every start up to k, tolerance 2^-k.
+_LITERAL_RULE = CauchyWindowKnobs(1, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -181,9 +190,7 @@ class DetectorProgram:
                 "    (N = k always qualifies vacuously, so this never halts)\n"
             )
         knobs = self.knobs
-        tol = (
-            f"{knobs.fixed_tolerance}" if knobs.fixed_tolerance is not None else "2^-k"
-        )
+        tol = knobs.fixed_tolerance or "2^-k"
         return (
             "heuristic variant (no correctness claim):\n"
             "for k = 1, 2, 3, ...:\n"
@@ -332,15 +339,10 @@ def build_cauchy_window_detector(stream: CoefficientStream) -> DetectorProgram:
     return DetectorProgram(DetectorKind.CAUCHY_WINDOW, stream)
 
 
-def build_cauchy_window_heuristic(
-    stream: CoefficientStream,
-    horizon_scale: int = 2,
-    window_cap: Fraction = Fraction(1, 2),
-    fixed_tolerance: Fraction | None = None,
-) -> DetectorProgram:
-    """Non-vacuous window variant; explicitly a heuristic."""
-    knobs = CauchyWindowKnobs(horizon_scale, window_cap, fixed_tolerance)
-    return DetectorProgram(DetectorKind.CAUCHY_WINDOW, stream, knobs)
+def build_cauchy_window_heuristic(stream: CoefficientStream, *args, **kwargs) -> DetectorProgram:
+    """Non-vacuous window variant; explicitly a heuristic. The remaining
+    arguments are :class:`CauchyWindowKnobs`' fields, with its defaults."""
+    return DetectorProgram(DetectorKind.CAUCHY_WINDOW, stream, CauchyWindowKnobs(*args, **kwargs))
 
 
 def run_detector(
@@ -463,7 +465,7 @@ def _run_window_heuristic(
     for k in range(1, budget + 1):
         if cancel is not None and cancel():
             break
-        horizon = knobs.horizon_scale * k
+        horizon, cap, tolerance = knobs.rule(k)
         while len(sums) <= horizon:
             a = stream.at(len(sums))
             s = sums[-1] + a
@@ -481,12 +483,6 @@ def _run_window_heuristic(
             sums.append(s)
         if k <= TRACE_POINTS:
             trace.append((k, sums[k]))
-        tolerance = (
-            knobs.fixed_tolerance
-            if knobs.fixed_tolerance is not None
-            else Fraction(1, 2 ** k)
-        )
-        cap = max(1, int(knobs.window_cap * k))
         # The gap over [start, horizon] never grows with start and never
         # shrinks with the horizon, and the tolerance never grows. So the
         # qualifying starts are a tail of 1..cap, and no start below the
@@ -508,19 +504,22 @@ def recheck_certificate(
     outcome: Halted,
     knobs: CauchyWindowKnobs | None = None,
 ) -> bool:
-    """Re-establish a halt certificate by independent exact recomputation."""
+    """Re-establish a halt certificate by independent exact recomputation.
+    The iteration must be the certificate's index or horizon, and a window
+    certificate's tolerance, starts and indices must follow ``knobs.rule``
+    (the literal detector's rule when ``knobs`` is None)."""
     cert = outcome.certificate
     if isinstance(cert, ThresholdCertificate):
         value = partial_sum(stream, _POINT_ONE, cert.index)
-        return value == cert.partial_sum and abs(value) > cert.index
-    horizon = knobs.horizon_scale * cert.horizon if knobs else cert.horizon
-    cap = max(1, int(knobs.window_cap * cert.horizon)) if knobs else cert.horizon
+        return value == cert.partial_sum and abs(value) > cert.index == outcome.iteration
+    if not 1 <= cert.horizon == outcome.iteration:
+        return False
+    horizon, cap, tol = (knobs or _LITERAL_RULE).rule(cert.horizon)
     failures = cert.failures
-    if {f.window_start for f in failures} != set(range(1, cap + 1)) or not all(
-        f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)
-    ):
+    if tol != cert.tolerance or {f.window_start for f in failures} != set(range(1, cap + 1)):
+        return False
+    if not all(f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)):
         return False
     # One fresh pass from index 0 that shares no state with the runner.
     sums = prefix_sums(stream, _POINT_ONE, horizon)
-    tol = cert.tolerance
     return all(abs(sums[f.hi_index] - sums[f.lo_index]) == f.gap >= tol for f in failures)

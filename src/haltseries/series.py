@@ -390,9 +390,8 @@ def _sampled_sums(stream: CoefficientStream, point: EvaluationPoint, indices: li
         sums = itertools.islice(enumerate(_running_sums(stream, point)), indices[-1] + 1)
         yield from ((k, s.numerator, s.denominator) for k, s in sums if k in wanted)
         return
-    start = indices[-1] + 1 if shape.start is None else shape.start
-    lead = stream.at(start) * point.r ** start if start <= indices[-1] else _ZERO
-    (a, b), (c, d), r = shape.num, shape.den, point.r
+    start, (a, b), (c, d), r = shape.start, shape.num, shape.den, point.r
+    lead = stream.at(start) * r ** start if start <= indices[-1] else _ZERO
     p, q = (a * r.numerator, b * r.numerator), (c * r.denominator, d * r.denominator)
     big_p, big_q, big_t, done = 1, 1, 0, start
     for k in indices:
@@ -466,7 +465,7 @@ def _term_ratios(stream: CoefficientStream, upto: int):
                     abs(current.numerator) * nxt.denominator,
                 )
             current = nxt
-    elif shape.start is not None:
+    else:
         (a, b), (c, d) = shape.num, shape.den
         for n in range(shape.start, upto):
             yield n, abs(a * n + b), abs(c * n + d)

@@ -160,9 +160,8 @@ def test_concurrent_reads_are_consistent():
 def assert_shape_matches_terms(stream, upto):
     """Zero before the shape's start, nonzero from it on, a_{n+1} = a_n * ratio(n)."""
     shape = stream.term_shape(upto)
-    start = upto + 1 if shape.start is None else shape.start
-    assert all(stream.at(n) == 0 for n in range(min(start, upto + 1)))
-    for n in range(start, upto + 1):
+    assert all(stream.at(n) == 0 for n in range(min(shape.start, upto + 1)))
+    for n in range(shape.start, upto + 1):
         assert stream.at(n) != 0
         if n < upto:
             assert stream.at(n + 1) == stream.at(n) * shape.ratio(n)

@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private top-level name is used somewhere besides its definition.
 
-Moving code between modules tends to leave imports behind; this test
-finds them with the standard library's ``ast``. ``__init__.py`` is
-skipped, because it imports names only to re-export them.
+Moving or deleting code tends to leave imports and helpers behind; these
+tests find them with the standard library's ``ast``. ``__init__.py`` is
+skipped by the import check, because it imports names only to re-export
+them.
 """
 
 import ast
@@ -36,3 +38,53 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Private top-level functions, classes and assignments that no other
+    top-level statement of any source reads, imports or names as an
+    attribute. A recursive function's call to itself does not count."""
+    statements = []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            used = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    used.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    used.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    used.update(alias.name for alias in sub.names)
+            statements.append(([name for name in defined if _private(name)], used))
+    return [
+        name
+        for i, (defined, _) in enumerate(statements)
+        for name in defined
+        if not any(name in used for j, (_, used) in enumerate(statements) if j != i)
+    ]
+
+
+def test_unused_private_names_are_found():
+    module = (
+        "_LIMIT = 3\n_SPARE = 4\n__all__ = []\n"
+        "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
+        "class _Box:\n    pass\n"
+        "def _helper():\n    pass\n"
+    )
+    other = "from .module import _helper\nprint(module._LIMIT)\n"
+    assert unused_private_names([module, other]) == ["_SPARE", "_walk", "_Box"]
+
+
+def test_package_uses_every_private_top_level_name():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []

@@ -429,6 +429,51 @@ def test_recheck_rejects_tampered_certificates():
     assert not recheck_certificate(stream, replace(halt, certificate=moved))
 
 
+def test_recheck_holds_the_iteration_to_the_certificate():
+    stream = builtin_stream("one")
+    for detector in (build_threshold_detector(stream), build_cauchy_window_heuristic(stream)):
+        outcome = run_detector(detector, 10)
+        assert recheck_certificate(stream, outcome, detector.knobs)
+        moved = replace(outcome, iteration=99)
+        assert "HALTED at iteration 99" in moved.to_text()
+        assert not recheck_certificate(stream, moved, detector.knobs)
+
+
+def _zero_gap_forgery(horizon, cap):
+    """A halt at ``horizon`` whose failures cite gaps of 0 at tolerance 0."""
+    failures = tuple(WindowFailure(n, n, n, Fraction(0)) for n in range(1, cap + 1))
+    return DetectorHalted(horizon, CauchyWindowCertificate(horizon, Fraction(0), failures))
+
+
+def _geometric_forgery():
+    """A horizon-10 halt at tolerance 10^-6 that cites the true gaps
+    ``S_20 - S_n`` of ``geometric 1/2``, where the rule's tolerance is 1."""
+    sums = [partial_sum(builtin_stream("geometric", Fraction(1, 2)), UNIT, n) for n in range(21)]
+    failures = tuple(WindowFailure(n, n, 20, sums[20] - sums[n]) for n in range(1, 6))
+    return DetectorHalted(10, CauchyWindowCertificate(10, Fraction(1, 10 ** 6), failures))
+
+
+@pytest.mark.parametrize(
+    "detector, forged",
+    [
+        (build_cauchy_window_heuristic(builtin_stream("zero")), _zero_gap_forgery(10, 5)),
+        (
+            build_cauchy_window_heuristic(
+                builtin_stream("geometric", Fraction(1, 2)), fixed_tolerance=Fraction(1)
+            ),
+            _geometric_forgery(),
+        ),
+        (build_cauchy_window_detector(builtin_stream("zero")), _zero_gap_forgery(3, 3)),
+    ],
+    ids=["zero-heuristic", "geometric-fixed-tolerance", "zero-literal"],
+)
+def test_recheck_rejects_halts_the_runner_never_makes(detector, forged):
+    # Each forgery cites only genuine sums, but at a tolerance other than
+    # the rule's; the runner itself never halts on these streams.
+    assert not run_detector(detector, 50).halted
+    assert not recheck_certificate(detector.stream, forged, detector.knobs)
+
+
 def _reference_window_heuristic(stream, knobs, budget):
     """Independent oracle: for each horizon k, scan ``S_s..S_H`` for its
     maximum and minimum (the later index wins a tie) and take the first
@@ -507,10 +552,17 @@ def test_window_heuristic_matches_brute_force_reference(
 
 def _reference_recheck(stream, outcome, knobs=None):
     """The window recheck as it was written first: two from-zero
-    ``partial_sum`` calls per failure, bookkeeping the starts seen."""
+    ``partial_sum`` calls per failure, bookkeeping the starts seen. The
+    tolerance must be the fixed one, or ``2^-horizon``, and the iteration
+    the horizon."""
     cert = outcome.certificate
     horizon = knobs.horizon_scale * cert.horizon if knobs else cert.horizon
     cap = max(1, int(knobs.window_cap * cert.horizon)) if knobs else cert.horizon
+    fixed = knobs.fixed_tolerance if knobs else None
+    if cert.tolerance != (Fraction(1, 2 ** cert.horizon) if fixed is None else fixed):
+        return False
+    if outcome.iteration != cert.horizon:
+        return False
     starts_needed = set(range(1, cap + 1))
     seen = set()
     for failure in cert.failures:
@@ -545,6 +597,7 @@ _TAMPERINGS = {
         c, i, lo_index=c.failures[i].hi_index, hi_index=c.failures[i].lo_index
     ),
     "tolerance x 1000": lambda c, i: replace(c, tolerance=c.tolerance * 1000),
+    "tolerance below the rule": lambda c, i: replace(c, tolerance=c.tolerance / 2),
     "duplicated failure": lambda c, i: replace(c, failures=c.failures + (c.failures[i],)),
 }
 
@@ -603,6 +656,16 @@ _EDITS = {
     budget=20,
     pick=0,
     edit="tolerance above every gap",
+)
+@example(  # halts at k = 2 with tolerance 1/4 and gaps of 864: a tolerance x 1000
+    # still clears every gap, so only the rule rejects it
+    stream=builtin_stream("factorial_tail", 4),
+    horizon_scale=3,
+    window_cap=Fraction(1),
+    fixed_tolerance=None,
+    budget=2,
+    pick=0,
+    edit=None,
 )
 @settings(deadline=None, max_examples=200)
 def test_window_recheck_matches_reference_on_genuine_and_tampered_certificates(

@@ -246,13 +246,21 @@ def builtin_stream(name: BuiltinId | str, *params: Fraction | int | str) -> Buil
 # ---------------------------------------------------------------------------
 
 
+#: Most digits a decimal exponent may have: ``1e9999`` parses at once,
+#: where ``Fraction('1e10000000')`` alone takes seconds.
+_EXPONENT_DIGITS = 4
+
+
 def parse_rational(text: Fraction | int | str) -> Fraction:
-    """Parse ``p/q`` or integer text into an exact Fraction."""
+    """Parse ``p/q``, integer or decimal text into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     try:
+        _, e, exponent = text.strip().lower().partition("e")
+        if e and len(exponent.replace("_", "").lstrip("+-0")) > _EXPONENT_DIGITS:
+            raise ValueError(f"decimal exponent has more than {_EXPONENT_DIGITS} digits")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None

@@ -44,6 +44,7 @@ from .series import (
     EvaluationPoint,
     SeriesProbeReport,
     TRACE_POINTS,
+    _sampled_sums,
     exact_line,
     partial_sum,
     prefix_sums,
@@ -383,11 +384,13 @@ def _run_threshold(
 
     Whenever the enclosure does not rule out ``|S_N| > N``, the exact
     partial sum decides: it either becomes the halt certificate or
-    retightens the enclosure. The halt index therefore always equals the
-    one plain exact summation would give; only the evaluation strategy
-    differs.
+    retightens the enclosure. It resumes from the last one, ``S_checked``,
+    summing only the terms past it, so all exact work is one pass over the
+    terms read. The halt index therefore always equals the one plain exact
+    summation would give; only the evaluation strategy differs.
     """
-    exact = stream.at(0)
+    exact = checkpoint = stream.at(0)
+    checked = 0
     lo, hi = _scaled_bounds(exact)
     trace: list[tuple[int, Fraction]] = []
     completed = 0
@@ -395,18 +398,20 @@ def _run_threshold(
         if cancel is not None and cancel():
             break
         a = stream.at(n)
-        t_lo, t_hi = _scaled_bounds(a)
-        lo += t_lo
-        hi += t_hi
+        num, den = a.as_integer_ratio()
+        step, rem = divmod(num << _SHIFT, den)
+        lo += step
+        hi += step + (rem != 0)
         if n <= TRACE_POINTS:
             exact += a
             trace.append((n, exact))
         threshold = n << _SHIFT
         if hi > threshold or lo < -threshold:
-            value = partial_sum(stream, _POINT_ONE, n)
-            if abs(value) > n:
-                return Halted(n, ThresholdCertificate(index=n, partial_sum=value))
-            lo, hi = _scaled_bounds(value)
+            ((_, num, den),) = _sampled_sums(stream, _POINT_ONE, [n], checked + 1)
+            checkpoint, checked = checkpoint + Fraction(num, den), n
+            if abs(checkpoint) > n:
+                return Halted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
+            lo, hi = _scaled_bounds(checkpoint)
         completed = n
     return StillRunning(
         budget=completed,
@@ -509,11 +514,12 @@ def recheck_certificate(
     certificate's tolerance, starts and indices must follow ``knobs.rule``
     (the literal detector's rule when ``knobs`` is None)."""
     cert = outcome.certificate
-    if isinstance(cert, ThresholdCertificate):
-        value = partial_sum(stream, _POINT_ONE, cert.index)
-        return value == cert.partial_sum and abs(value) > cert.index == outcome.iteration
-    if not 1 <= cert.horizon == outcome.iteration:
+    threshold = isinstance(cert, ThresholdCertificate)
+    if not 1 <= (cert.index if threshold else cert.horizon) == outcome.iteration:
         return False
+    if threshold:
+        value = partial_sum(stream, _POINT_ONE, cert.index)
+        return value == cert.partial_sum and abs(value) > cert.index
     horizon, cap, tol = (knobs or _LITERAL_RULE).rule(cert.horizon)
     failures = cert.failures
     if tol != cert.tolerance or {f.window_start for f in failures} != set(range(1, cap + 1)):

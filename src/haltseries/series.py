@@ -347,13 +347,14 @@ def _shape_of(stream: CoefficientStream, upto: int):
     return shape_of(upto) if shape_of is not None else None
 
 
-def _running_sums(stream: CoefficientStream, point: EvaluationPoint):
-    """Yield the exact partial sums ``S_0, S_1, ...`` of ``sum(a_n * r^n)``,
-    reading each coefficient once, in order, via a running power."""
+def _running_sums(stream: CoefficientStream, point: EvaluationPoint, first: int = 0):
+    """Yield the exact sums of ``a_j * r^j`` over ``first..n`` for ``n = first,
+    first + 1, ...`` (``S_0, S_1, ...`` from ``first = 0``), reading each
+    coefficient once, in order, via a running power."""
     r = point.r
     total = _ZERO
-    power = Fraction(1)
-    for n in itertools.count():
+    power = r ** first
+    for n in itertools.count(first):
         a = stream.at(n)
         if a:
             total += a * power
@@ -378,19 +379,23 @@ def _split(p: tuple[int, int], q: tuple[int, int], a: int, b: int) -> tuple[int,
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _sampled_sums(stream: CoefficientStream, point: EvaluationPoint, indices: list[int]):
-    """Yield unreduced ``(k, num, den)``, ``S_k = num / den`` with ``den > 0``,
-    for each k of the strictly increasing, non-empty ``indices``. A shaped
-    stream reads only ``a_start``: ``S_k = a_start * r^start * T / Q`` for
-    the :func:`_split` triple over ``[start, k + 1)``, extended one segment
-    per index with no gcd. Any other stream is summed term by term."""
+def _sampled_sums(
+    stream: CoefficientStream, point: EvaluationPoint, indices: list[int], first: int = 0
+):
+    """Yield unreduced ``(k, num, den)``, ``num / den = sum(a_j * r^j for j in
+    first..k)`` with ``den > 0`` (``S_k`` from ``first = 0``), for each k of
+    the strictly increasing, non-empty ``indices``, none below ``first``. A
+    shaped stream reads only ``a_start``, ``start = max(first, shape.start)``:
+    the sum is ``a_start * r^start * T / Q`` for the :func:`_split` triple over
+    ``[start, k + 1)``, extended one segment per index with no gcd. Any other
+    stream is summed term by term from ``first``."""
     shape = _shape_of(stream, indices[-1])
     if shape is None:
         wanted = set(indices)
-        sums = itertools.islice(enumerate(_running_sums(stream, point)), indices[-1] + 1)
+        sums = zip(range(first, indices[-1] + 1), _running_sums(stream, point, first))
         yield from ((k, s.numerator, s.denominator) for k, s in sums if k in wanted)
         return
-    start, (a, b), (c, d), r = shape.start, shape.num, shape.den, point.r
+    start, (a, b), (c, d), r = max(first, shape.start), shape.num, shape.den, point.r
     lead = stream.at(start) * r ** start if start <= indices[-1] else _ZERO
     p, q = (a * r.numerator, b * r.numerator), (c * r.denominator, d * r.denominator)
     big_p, big_q, big_t, done = 1, 1, 0, start

@@ -654,3 +654,22 @@ def test_out_of_memory_exits_one_with_a_message(tmp_path):
         preexec_fn=limit_address_space,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_a_huge_decimal_exponent_exits_one_at_once(tmp_path):
+    # Fraction("1e10000000") alone takes seconds; the exponent is refused first.
+    program = tmp_path / "halt.m"
+    program.write_text("halt\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "haltseries.cli", "forward", str(program), "--input", "0",
+         "--r", "1e10000000", "--budget", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: invalid rational '1e10000000': decimal exponent has more than 4 digits\n"
+    )

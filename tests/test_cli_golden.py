@@ -99,6 +99,13 @@ LARGE_INPUTS = {
     "halting_doubler.s": "halting doubler.m 1200\n",
 }
 
+# S_N = N at every even N below 300, where the threshold detector's dyadic
+# enclosure of these thirds straddles N and it sums exactly; the sum first
+# exceeds N at N = 300, where S_300 = 300 + 2/3.
+NEAR_THRESHOLD = {
+    "near.s": "explicit 0 " + " ".join("2/3" if i % 2 else "4/3" for i in range(1, 300)) + " 2",
+}
+
 BAD_SERIES = {
     "bad_empty.s": "# nothing",
     "bad_builtin.s": "builtin",
@@ -155,6 +162,9 @@ def _cases() -> list[list[str]]:
          "--show-program", "--horizon-scale", "3", "--window-cap", "1", "--tolerance", "1/4"])
     for bad in BAD_SERIES:
         add(["detect", bad, "--kind", "threshold", "--budget", "3"])
+    for budget in ("299", "600"):
+        add(["detect", "near.s", "--kind", "threshold", "--budget", budget])
+        add(["detect", "near.s", "--kind", "threshold", "--budget", budget, "--kv"])
     for knobs in (["--horizon-scale", "0"], ["--window-cap", "2"], ["--window-cap", "x"],
                   ["--window-cap", "0"], ["--tolerance", "0"], ["--tolerance", "-1/2"]):
         add(["detect", "one.s", "--kind", "cauchy-heuristic", "--budget", "3", *knobs])
@@ -234,7 +244,7 @@ def _cases() -> list[list[str]]:
 def _write_inputs(directory: Path) -> None:
     for name, text in {**MACHINES, **BAD_MACHINES}.items():
         (directory / name).write_text(text)
-    for name, text in {**SERIES, **BAD_SERIES}.items():
+    for name, text in {**SERIES, **NEAR_THRESHOLD, **BAD_SERIES}.items():
         (directory / name).write_text(text + "\n")
     for name, text in LARGE_INPUTS.items():
         (directory / name).write_text(text)

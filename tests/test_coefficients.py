@@ -220,6 +220,15 @@ def test_parse_rational_accepts_both_notations():
         parse_rational("abc")
 
 
+def test_parse_rational_bounds_the_decimal_exponent():
+    assert parse_rational("7e300") == 7 * 10 ** 300
+    assert parse_rational(" 1E-9999 ") == Fraction(1, 10 ** 9999)
+    assert parse_rational("2.5e+0009999") == Fraction(5, 2) * 10 ** 9999
+    for text in ("1e10000", "1e-10000", "1e10000000", "1e1_0000", "1e" + "9" * 10 ** 6):
+        with pytest.raises(ValueError, match="invalid rational .*more than 4 digits"):
+            parse_rational(text)
+
+
 def test_format_rational_lowest_terms():
     assert format_rational(Fraction(6, 8)) == "3/4"
     assert format_rational(Fraction(4, 2)) == "2"

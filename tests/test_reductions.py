@@ -39,7 +39,9 @@ from haltseries import (
     semidecide_halting_via_series,
 )
 import haltseries
+from haltseries import reductions
 from haltseries.coefficients import CoefficientStream
+from haltseries.series import TRACE_POINTS
 
 import corpus
 
@@ -57,6 +59,13 @@ class SlowDivergent(CoefficientStream):
 
     def at(self, n):
         return Fraction(1, n + 10)
+
+
+def near_threshold(k):
+    """``0, 2/3, 4/3, 2/3, ..., 2``: S_N = N at every even N below k, and
+    S_k = k + 2/3 is the first sum past N."""
+    terms = [Fraction(2, 3) if i % 2 else Fraction(4, 3) for i in range(1, k)]
+    return ExplicitStream((Fraction(0), *terms, Fraction(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +318,89 @@ def test_threshold_runner_matches_exact_reference_randomized(prefix, tail, budge
     _assert_matches_reference(ExplicitStream(tuple(prefix), tail), budget)
 
 
+def _from_zero_threshold_run(stream, budget):
+    """Reference threshold runner: the same enclosure as ``run_detector``,
+    but every exact fallback sums from index 0 through ``partial_sum``."""
+    shift = reductions._SHIFT
+
+    def bounds(value):
+        scaled = value.numerator << shift
+        return scaled // value.denominator, -((-scaled) // value.denominator)
+
+    exact = stream.at(0)
+    lo, hi = bounds(exact)
+    trace = []
+    for n in range(1, budget + 1):
+        a = stream.at(n)
+        t_lo, t_hi = bounds(a)
+        lo += t_lo
+        hi += t_hi
+        if n <= TRACE_POINTS:
+            exact += a
+            trace.append((n, exact))
+        if hi > n << shift or lo < -(n << shift):
+            value = partial_sum(stream, UNIT, n)
+            if abs(value) > n:
+                return DetectorHalted(n, ThresholdCertificate(index=n, partial_sum=value))
+            lo, hi = bounds(value)
+    return StillRunning(
+        budget=budget,
+        trace=tuple(trace),
+        final_bounds=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
+    )
+
+
+@st.composite
+def hovering_streams(draw):
+    """Unshaped streams with ``S_N = ±(N + e_N)`` for drawn non-dyadic
+    ``e_N``: the enclosure straddles N wherever ``e_N`` is 0 or tiny, and
+    the detector halts at the first positive ``e_N``."""
+    offsets = draw(
+        st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.fractions(-1, 0, max_denominator=9),
+                st.fractions(-1, 1, max_denominator=10 ** 6),
+            ),
+            max_size=60,
+        )
+    )
+    sign = draw(st.sampled_from([1, -1]))
+    tail = draw(st.sampled_from([Fraction(1), Fraction(0), Fraction(4, 3)]))
+    terms = [b - a + (n > 0) for n, (a, b) in enumerate(zip([0] + offsets, offsets))]
+    return ExplicitStream(tuple(sign * t for t in terms), sign * tail)
+
+
+@given(
+    st.one_of(
+        hovering_streams(),
+        corpus.builtin_streams(),
+        st.tuples(corpus.programs(), st.integers(0, 5)).map(lambda args: forward_reduce(*args)),
+    ),
+    st.integers(1, 80),
+)
+@example(near_threshold(30), 60)
+@example(near_threshold(30), 29)
+@settings(deadline=None, max_examples=300)
+def test_threshold_runner_matches_the_from_zero_runner(stream, budget):
+    assert run_detector(build_threshold_detector(stream), budget) == _from_zero_threshold_run(
+        stream, budget
+    )
+
+
+def test_threshold_fallbacks_read_each_coefficient_at_most_twice():
+    # S_N = N at every even N below 200, so the enclosure of these thirds
+    # straddles N a hundred times; a from-zero re-sum at each would read
+    # about 10^4 coefficients.
+    stream = corpus.Counting(near_threshold(200))
+    outcome = run_detector(build_threshold_detector(stream), 400)
+    assert outcome == DetectorHalted(200, ThresholdCertificate(200, Fraction(602, 3)))
+    assert stream.reads <= 2 * 200 + 2
+    short = corpus.Counting(near_threshold(200))
+    assert not run_detector(build_threshold_detector(short), 199).halted
+    assert short.reads <= 2 * 199 + 2
+
+
 def test_threshold_trace_holds_first_exact_sums():
     outcome = run_detector(build_threshold_detector(builtin_stream("zero")), 100)
     assert len(outcome.trace) == 20
@@ -437,6 +529,14 @@ def test_recheck_holds_the_iteration_to_the_certificate():
         moved = replace(outcome, iteration=99)
         assert "HALTED at iteration 99" in moved.to_text()
         assert not recheck_certificate(stream, moved, detector.knobs)
+
+
+@pytest.mark.parametrize("index, value", [(-1, Fraction(0)), (0, Fraction(1))])
+def test_recheck_rejects_a_threshold_index_below_one(index, value):
+    # The runner first tests N = 1; |S_0| = 1 > 0 on ``one`` is true but
+    # is no halt the runner makes, and a negative index has no sum at all.
+    forged = DetectorHalted(index, ThresholdCertificate(index, value))
+    assert not recheck_certificate(builtin_stream("one"), forged)
 
 
 def _zero_gap_forgery(horizon, cap):

@@ -25,6 +25,7 @@ from haltseries import (
     check_modulus,
     effective_partial_sum,
     parse_rate_spec,
+    parse_program,
     partial_sum,
     prefix_sums,
     ratio_test_probe,
@@ -33,7 +34,7 @@ from haltseries import (
 
 import corpus
 from haltseries.coefficients import TermShape
-from haltseries.series import MODULUS_SAMPLE_OFFSETS, _trace_indices
+from haltseries.series import MODULUS_SAMPLE_OFFSETS, _sampled_sums, _trace_indices
 
 HALF = EvaluationPoint(Fraction(1, 2))
 UNIT = EvaluationPoint(Fraction(1))
@@ -167,6 +168,61 @@ def test_partial_sum_on_a_shaped_stream_reads_one_coefficient():
     value = partial_sum(stream, UNIT, 10**4)
     assert stream.reads <= 1
     assert value == partial_sum(AtOnly(builtin_stream("harmonic")), UNIT, 10**4)
+
+
+def resumed_sum(stream, r, first, upto):
+    ((k, num, den),) = _sampled_sums(stream, EvaluationPoint(r), [upto], first)
+    assert k == upto and den > 0
+    return Fraction(num, den)
+
+
+def difference_of_partial_sums(stream, r, first, upto):
+    below = partial_sum(stream, EvaluationPoint(r), first - 1) if first else 0
+    return partial_sum(stream, EvaluationPoint(r), upto) - below
+
+
+@pytest.mark.parametrize(
+    "stream, start",
+    [
+        (builtin_stream("factorial_tail", 5), 5),
+        (builtin_stream("harmonic"), 0),
+        (HaltingEncoded(parse_program("loop: decjz 0 done\ndecjz 2 loop\ndone: halt"), 3), 8),
+        (NegativeDenominator(), 0),
+    ],
+)
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+def test_resumed_sum_is_a_difference_of_partial_sums_on_shaped_streams(stream, start, r):
+    assert stream.term_shape(40).start == start
+    for first in sorted({0, start - 1, start, start + 1, start + 6} - {-1}):
+        for upto in (first, first + 1, first + 9, 40):
+            expected = difference_of_partial_sums(stream, r, first, upto)
+            assert resumed_sum(stream, r, first, upto) == expected, (first, upto)
+            assert resumed_sum(AtOnly(stream), r, first, upto) == expected, (first, upto)
+
+
+@given(
+    st.one_of(corpus.builtin_streams(), halting_streams, explicit_streams),
+    st.fractions(0, 3, max_denominator=9),
+    st.integers(0, 40),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True),
+)
+@settings(deadline=None)
+def test_resumed_sums_match_differences_of_partial_sums(stream, r, first, offsets):
+    indices = sorted(first + k for k in offsets)
+    got = list(_sampled_sums(stream, EvaluationPoint(r), indices, first))
+    assert [k for k, _, _ in got] == indices
+    for k, num, den in got:
+        assert den > 0
+        assert Fraction(num, den) == difference_of_partial_sums(stream, r, first, k)
+
+
+def test_resumed_sum_reads_only_the_terms_it_adds():
+    stream = corpus.Counting(ExplicitStream((), Fraction(1, 3)))
+    assert resumed_sum(stream, Fraction(1), 100, 149) == Fraction(50, 3)
+    assert stream.reads == 50
+    shaped = corpus.Counting(builtin_stream("harmonic"))
+    resumed_sum(shaped, Fraction(1), 100, 10 ** 4)
+    assert shaped.reads == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .coefficients import (
     CoefficientStream,
+    _text_int,
     format_rational,
     parse_rational,
     parse_series_spec,
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _integer(text: str, what: str) -> int:
     try:
-        return int(text)
+        return _text_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
 
@@ -279,20 +280,6 @@ _PROBE_REQUIRED = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Certificates and program codes can be very large integers; lift the
-    # interpreter's digit cap so printing them exactly never fails, and
-    # give an in-process caller its own cap back afterwards.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(2_000_000)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "probe":

@@ -258,12 +258,27 @@ def parse_rational(text: Fraction | int | str) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     try:
+        num, slash, den = text.strip().partition("/")
+        digits = num[1:] if num.startswith(("+", "-")) else num
+        if digits.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(_text_int(num), _text_int(den) if slash else 1)
         _, e, exponent = text.strip().lower().partition("e")
         if e and len(exponent.replace("_", "").lstrip("+-0")) > _EXPONENT_DIGITS:
             raise ValueError(f"decimal exponent has more than {_EXPONENT_DIGITS} digits")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` at any length: long digit runs split into ``hi * 10**k + lo``."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if len(body) <= 600 or not digits.isdecimal():
+        return int(text)
+    k = len(digits) // 2
+    value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
+    return -value if body.startswith("-") else value
 
 
 def format_rational(value: Fraction) -> str:
@@ -274,17 +289,16 @@ def format_rational(value: Fraction) -> str:
 
 
 def _int_text(value: int) -> str:
-    """``str(value)`` in subquadratic time (``str`` is quadratic before 3.12).
+    """``str(value)`` at any length, in subquadratic time.
 
-    Above 2**32768 (where ``str`` stops being faster), the value splits at
-    half its bit length and is rebuilt as ``lo + hi * 2**w`` in
-    ``decimal``, whose large products are subquadratic (Brent and
-    Zimmermann, *Modern Computer Arithmetic* 1.7), down to 2048-bit leaves.
-    Over the int-digit limit, ``str`` raises the interpreter's own error.
+    ``str`` takes up to 32768 bits (where it is faster) and 3 * limit bits
+    (it cannot raise there); larger values split at half their bit length
+    into ``lo + hi * 2**w`` in ``decimal`` (Brent and Zimmermann, *Modern
+    Computer Arithmetic* 1.7), down to 2048-bit leaves.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bits = value.bit_length()
-    if bits <= 32768 or limit and bits > 4 * limit:  # 2**(4 * limit) > 10**limit
+    if bits <= 32768 and (not limit or bits <= 3 * limit):
         return str(value)
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                             traps=[decimal.Inexact])
@@ -300,8 +314,6 @@ def _int_text(value: int) -> str:
         return exact.fma(convert(hi, width - half), powers[half], convert(n - (hi << half), half))
 
     text = str(convert(abs(value), bits))
-    if limit and len(text) > limit:
-        return str(value)
     return "-" + text if value < 0 else text
 
 
@@ -353,7 +365,7 @@ def parse_series_spec(text: str, base_dir: Path | str = ".") -> CoefficientStrea
         program = parse_program(path.read_text())
         if not tokens[2].isdecimal():
             raise ValueError(f"input must be a natural number, got {tokens[2]!r}")
-        return HaltingEncoded(program, int(tokens[2]))
+        return HaltingEncoded(program, _text_int(tokens[2]))
 
     if kind == "explicit":
         rest = tokens[1:]

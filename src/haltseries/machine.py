@@ -281,7 +281,7 @@ def parse_program(text: str) -> MachineProgram:
             continue
         target_text = args[1]
         if target_text.isdecimal():
-            target = int(target_text)
+            target = _parse_nat(target_text, "jump target", line_no)
         elif target_text in labels:
             target = labels[target_text]
         else:
@@ -299,7 +299,9 @@ def parse_program(text: str) -> MachineProgram:
 def _parse_nat(token: str, what: str, line_no: int) -> int:
     if not token.isdecimal():
         raise MachineParseError(f"{what} must be a decimal natural, got {token!r}", line_no)
-    return int(token)
+    if len(token.lstrip("0")) > 600:  # out of range, and int() may refuse it
+        raise MachineParseError(f"{what} out of range", line_no)
+    return int(token.lstrip("0") or "0")
 
 
 def pretty_program(program: MachineProgram) -> str:

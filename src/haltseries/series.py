@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .coefficients import (
     CoefficientStream,
+    _text_int,
     approx_decimal,
     format_rational,
     parse_rational,
@@ -194,12 +195,12 @@ def parse_rate_spec(text: str) -> RateFunction:
     if kind == "constant":
         if len(parts) != 2 or not parts[1].isdecimal():
             raise ValueError("expected constant:N")
-        return ConstantRate(int(parts[1]))
+        return ConstantRate(_text_int(parts[1]))
     if kind == "linear":
         fields = text.strip().split(":")
         if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
             raise ValueError("expected linear:SLOPE:OFFSET")
-        return LinearRate(int(fields[1]), int(fields[2]))
+        return LinearRate(_text_int(fields[1]), _text_int(fields[2]))
     if kind == "table":
         if len(parts) != 2:
             raise ValueError("expected table:M,RBOUND,N[;...]")
@@ -208,7 +209,7 @@ def parse_rate_spec(text: str) -> RateFunction:
             cols = chunk.split(",")
             if len(cols) != 3 or not cols[0].isdecimal() or not cols[2].isdecimal():
                 raise ValueError(f"bad table row {chunk!r}, expected M,RBOUND,N")
-            rows.append((int(cols[0]), parse_rational(cols[1]), int(cols[2])))
+            rows.append((_text_int(cols[0]), parse_rational(cols[1]), _text_int(cols[2])))
         return TabulatedRate(tuple(rows))
     raise ValueError(f"unknown rate kind {parts[0]!r}")
 
@@ -540,7 +541,10 @@ def _root_growth(value: Fraction, n: int) -> float:
     if value == 0:
         return 0.0
     log_mag = _ln_int(abs(value.numerator)) - _ln_int(value.denominator)
-    return math.exp(log_mag / n)
+    try:
+        return math.exp(log_mag / n)
+    except OverflowError:
+        return math.inf
 
 
 def root_estimate(stream: CoefficientStream, n_max: int) -> RootEstimateReport:
@@ -589,7 +593,7 @@ def check_effective_criterion(
     inv_radius = 1 / radius
     for k in range(k_max + 1):
         bound = inv_radius + Fraction(1, 2 ** k)
-        bound_f = float(bound)
+        bound_f = float(min(bound, 1e308))
         start = max(m_rate.terms_for(k), 1)
         bound_power = bound ** start if start <= n_budget else None
         for n in range(start, n_budget + 1):

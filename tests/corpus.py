@@ -8,7 +8,9 @@ control provably never reaches a halt or falls off the end.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -76,6 +78,17 @@ LONG_PROGRAM = "".join(
     f"p{i}: " + (f"decjz {i % 7} p{(i * 37 + 11) % 400}\n" if i % 3 else f"inc {i % 7}\n")
     for i in range(400)
 ) + "halt\n"
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run the block under the interpreter's int-digit limit ``limit``."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def halting_programs() -> list[tuple[HaltingCase, MachineProgram]]:

@@ -529,6 +529,32 @@ def test_probe_effective(tmp_path, capsys):
     assert "coefficient_abs: 24" in out
 
 
+def test_probe_root_saturates_past_the_float_range(tmp_path, capsys):
+    spec = series_file(tmp_path, "explicit 0 1e400")
+    code = main(["probe", spec, "--kind", "root", "--n-max", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "limsup proxy: 0.000000000e+00\nimplied radius: inf\n"
+        "  |a_1|^(1/1) ~ inf\n  |a_2|^(1/2) ~ 0.000000000e+00\n"
+    )
+
+
+@pytest.mark.parametrize("body, code", [("builtin one", 2), ("explicit 0 1e500", 0)])
+def test_probe_effective_bound_past_the_float_range(tmp_path, capsys, body, code):
+    # The bound 10**400 + 1 has no float; the screen keeps every candidate
+    # and the exact comparison decides.
+    spec = series_file(tmp_path, body)
+    argv = ["probe", spec, "--kind", "effective", "--rate", "constant:1",
+            "--radius", "1e-400", "--k-max", "1", "--n-budget", "3"]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert "verdict: WITNESSED_BOUND_VIOLATION" in out
+        assert f"coefficient_abs: 1{'0' * 500}\n" in out
+    else:
+        assert out == "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 3\n"
+
+
 def test_probe_modulus_consistent(tmp_path, capsys):
     spec = series_file(tmp_path, "builtin geometric 1/2")
     code = main(
@@ -602,17 +628,16 @@ def test_encode_prints_and_decodes_a_code_over_4300_digits(tmp_path, capsys):
     path = tmp_path / "long.machine"
     path.write_text(corpus.LONG_PROGRAM)
     program = parse_program(corpus.LONG_PROGRAM)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with corpus.int_digit_limit(0):
         expected = str(encode_godel(program))
-    finally:
-        sys.set_int_max_str_digits(saved)
     assert len(expected) > 4300
-    assert main(["encode", str(path)]) == 0
-    assert capsys.readouterr().out == expected + "\n"
-    assert main(["encode", "--decode", expected]) == 0
-    assert parse_program(capsys.readouterr().out) == program
+    # The default limit, then the smallest one the interpreter accepts.
+    for limit in (sys.get_int_max_str_digits(), 640):
+        with corpus.int_digit_limit(limit):
+            assert main(["encode", str(path)]) == 0
+            assert capsys.readouterr().out == expected + "\n"
+            assert main(["encode", "--decode", expected]) == 0
+            assert parse_program(capsys.readouterr().out) == program
 
 
 def test_encode_invalid_code_exits_one(capsys):

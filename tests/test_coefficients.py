@@ -1,4 +1,3 @@
-import contextlib
 import decimal
 import math
 import random
@@ -24,7 +23,7 @@ from haltseries import (
     parse_series_spec,
     run_bounded,
 )
-from haltseries.coefficients import _int_text
+from haltseries.coefficients import _int_text, _text_int
 
 import corpus
 
@@ -244,24 +243,23 @@ def test_approx_decimal_is_deterministic_round_half_even():
     assert approx_decimal(Fraction(15, 10 ** 13)) == "0.000000000002"
 
 
-@contextlib.contextmanager
-def int_digit_limit(limit):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+def plain_str(value):
+    """``str(value)`` with no int-digit limit."""
+    with corpus.int_digit_limit(0):
+        return str(value)
 
 
 # Random magnitudes of up to 200k bits, and powers of two and their
 # neighbours anywhere in that range, around the 32768-bit cut to plain str,
-# and near 2**16 bits, whose halvings meet the 2048-bit leaf cut exactly.
+# near the 3 * limit cuts of 640 and the default 4300 digits (1920 and
+# 12900 bits), and near 2**16 bits, whose halvings meet the 2048-bit leaf
+# cut exactly.
 magnitudes = st.one_of(
     st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
               st.integers(0, 200_000), st.integers(0, 2 ** 32)),
     st.builds(lambda k, d: 2 ** k + d,
-              st.integers(0, 200_000) | st.integers(32_760, 32_776) | st.integers(65_530, 65_542),
+              st.integers(0, 200_000) | st.integers(32_760, 32_776) | st.integers(65_530, 65_542)
+              | st.integers(1_915, 1_925) | st.integers(12_895, 12_905),
               st.sampled_from((-1, 0, 1))),
 )
 
@@ -271,38 +269,40 @@ magnitudes = st.one_of(
 @example(0, 1)
 @example(2 ** 32768, -1)
 @example(2 ** 65536 - 1, 1)
+@example(2 ** 1920 - 1, 1)
+@example(2 ** 1920, -1)
+@example(2 ** 12900 - 1, -1)
+@example(2 ** 12900, 1)
 def test_int_text_matches_str(magnitude, sign):
     value = sign * magnitude
-    with int_digit_limit(0):
-        assert _int_text(value) == str(value)
-        assert format_rational(Fraction(sign, magnitude + 1)) == str(Fraction(sign, magnitude + 1))
+    text, ratio = plain_str(value), plain_str(Fraction(sign, magnitude + 1))
+    for limit in (0, 640, sys.get_int_max_str_digits()):
+        with corpus.int_digit_limit(limit):
+            assert _int_text(value) == text
+            assert format_rational(Fraction(sign, magnitude + 1)) == ratio
 
 
 def test_int_text_never_rounds(monkeypatch):
     # Its decimal context traps Inexact, so a precision too small for the
     # value raises instead of printing rounded digits.
     monkeypatch.setattr(decimal, "MAX_PREC", 50)
-    with int_digit_limit(0), pytest.raises(decimal.Inexact):
+    with corpus.int_digit_limit(0), pytest.raises(decimal.Inexact):
         _int_text(3 ** 50_000)
 
 
-def assert_same_limit_error(render, value):
-    with pytest.raises(ValueError) as ours:
-        render()
-    with pytest.raises(ValueError) as plain:
-        str(value)
-    assert str(ours.value) == str(plain.value)
-
-
 # 640 is the smallest limit the interpreter accepts; at 10,000 digits the
-# values are past the 32768-bit cut, so the divide-and-conquer path renders them.
+# values are past the 32768-bit cut, so the divide-and-conquer path renders
+# them. The caller's limit stays in place, and the text is exact anyway.
 @pytest.mark.parametrize("limit", [640, 10_000])
 def test_format_rational_keeps_the_int_digit_limit(limit):
-    with int_digit_limit(limit):
+    values = (10 ** (limit - 1), 10 ** limit, -(10 ** limit), 10 ** (5 * limit) + 7)
+    expected = [(plain_str(value), plain_str(Fraction(1, value))) for value in values]
+    with corpus.int_digit_limit(limit):
         assert format_rational(Fraction(-(10 ** (limit - 1)), 7)) == f"-1{'0' * (limit - 1)}/7"
-        for value in (10 ** limit, -(10 ** limit), 10 ** (5 * limit)):
-            assert_same_limit_error(lambda: format_rational(Fraction(value)), value)
-            assert_same_limit_error(lambda: format_rational(Fraction(1, value)), value)
+        for value, (text, inverse) in zip(values, expected):
+            assert format_rational(Fraction(value)) == text
+            assert format_rational(Fraction(1, value)) == inverse
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("limit", [640, 10_000])
@@ -311,10 +311,53 @@ def test_report_text_keeps_the_int_digit_limit(limit):
         verdict = WitnessedDivergence(index=0, ratio=Fraction(2), threshold=Fraction(2))
         return SeriesProbeReport(verdict, (0, Fraction(value)), (), 1)
 
-    with int_digit_limit(limit):
+    big = 10 ** (5 * limit) + 3
+    with corpus.int_digit_limit(0):
+        expected = report(big).to_text(), report(big).to_kv()
+    with corpus.int_digit_limit(limit):
         value = 10 ** (limit - 1) + 7
         assert f"witness value: {value} (approx {value}.000000000000)\n" in report(value).to_text()
-        assert_same_limit_error(lambda: report(10 ** limit).to_text(), 10 ** limit)
+        assert (report(big).to_text(), report(big).to_kv()) == expected
+        assert sys.get_int_max_str_digits() == limit
+
+
+# Signed digit runs of random length, most near the 600-digit cut to int
+# and near twice it, where the first split lands on the cut.
+digit_texts = st.builds(
+    lambda sign, n, seed: sign + "".join(random.Random(seed).choices("0123456789", k=n)),
+    st.sampled_from(("", "-", "+")),
+    st.integers(1, 5_000) | st.integers(590, 610) | st.integers(1_190, 1_210),
+    st.integers(0, 2 ** 32),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_texts)
+@example("9" * 600)
+@example("-" + "9" * 601)
+@example(" +" + "0" * 1_200 + "1 ")
+def test_text_int_matches_int(text):
+    with corpus.int_digit_limit(0):
+        expected = int(text)
+    with corpus.int_digit_limit(640):
+        assert _text_int(text) == expected
+
+
+@pytest.mark.parametrize("text", ["", "-", "+-" + "9" * 700, "9" * 700 + "x", "12a", "1.5"])
+def test_text_int_rejects_what_int_rejects(text):
+    with pytest.raises(ValueError):
+        _text_int(text)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_parse_rational_reads_back_every_printed_value(limit):
+    values = (Fraction(10 ** 5000, 3), Fraction(-(7 ** 9000), 10 ** 5001 + 1), Fraction(3 ** 20000))
+    with corpus.int_digit_limit(limit):
+        for value in values:
+            assert parse_rational(format_rational(value)) == value
+        # Decimal-point text still goes through Fraction and its limit.
+        with pytest.raises(ValueError, match="invalid rational"):
+            parse_rational("1." + "0" * 5000)
 
 
 def test_parse_series_spec_builtin():

@@ -2,7 +2,9 @@
 private top-level name is used somewhere besides its definition.
 
 Moving or deleting code tends to leave imports and helpers behind; these
-tests find them with the standard library's ``ast``. ``__init__.py`` is
+tests find them with the standard library's ``ast``. A last check keeps
+the package from setting the interpreter's int-digit limit: integers
+cross to and from text through ``coefficients`` at any length instead. ``__init__.py`` is
 skipped by the import check, because it imports names only to re-export
 them.
 """
@@ -88,3 +90,26 @@ def test_unused_private_names_are_found():
 def test_package_uses_every_private_top_level_name():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_names(sources) == []
+
+
+def int_digit_limit_setters(source: str) -> list[int]:
+    """Lines that name ``set_int_max_str_digits``: in a call, an attribute,
+    an import or a string, so an alias or ``getattr`` cannot hide a call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if "set_int_max_str_digits" in [getattr(node, key, None) for key in ("attr", "id", "name", "value")]
+    )
+
+
+def test_int_digit_limit_setters_are_found():
+    source = (
+        "import sys\nsys.set_int_max_str_digits(0)\nfrom sys import set_int_max_str_digits as s\n"
+        "s(640)\ngetattr(sys, 'set_int_max_str_digits')\nsys.get_int_max_str_digits()\n"
+    )
+    assert int_digit_limit_setters(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_sets_the_int_digit_limit(path):
+    assert int_digit_limit_setters(path.read_text()) == []

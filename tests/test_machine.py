@@ -93,6 +93,30 @@ def test_parse_errors_carry_line_numbers(source, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("inc " + "9" * 5000, 1),
+        ("halt\nregisters " + "1" * 4301, 2),
+        ("inc 0\ndecjz 0 " + "7" * 601, 2),
+    ],
+    ids=["register-index", "register-count", "jump-target"],
+)
+def test_over_long_numbers_are_out_of_range_under_any_int_digit_limit(source, line, limit):
+    with corpus.int_digit_limit(limit), pytest.raises(MachineParseError) as err:
+        parse_program(source)
+    assert err.value.line == line
+    assert str(err.value).endswith(" out of range")
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    with corpus.int_digit_limit(640):
+        assert parse_program("inc " + "0" * 5000 + "5\ndecjz 0 " + "0" * 700).instructions == (
+            Inc(5), DecJz(0, 0),
+        )
+
+
 def test_registers_directive_widens_count():
     program = parse_program("registers 5\ninc 0\nhalt")
     assert program.register_count == 5

@@ -93,9 +93,9 @@ def _cmd_simulate(ns) -> int:
     program = _load_program(ns.machine_file)
     outcome = run_bounded(program, ns.input, ns.budget)
     if outcome.halted:
-        print(f"HALTED at step {outcome.steps}")
+        print(f"HALTED at step {format_rational(outcome.steps)}")
         return EXIT_WITNESS
-    print(f"RUNNING after {outcome.budget}")
+    print(f"RUNNING after {format_rational(outcome.budget)}")
     return EXIT_BUDGET_EXHAUSTED
 
 
@@ -109,10 +109,10 @@ def _cmd_forward(ns) -> int:
     if outcome.halted:
         coeffs = forward_reduce(program, ns.input)
         shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
-        preview = (f"a_{n}={format_rational(coeffs.at(n))}" for n in shown)
+        preview = (f"a_{format_rational(n)}={format_rational(coeffs.at(n))}" for n in shown)
         print("coefficients (first nonzero): " + " ".join(preview))
     else:
-        print(f"coefficients: all zero up to index {ns.budget}")
+        print(f"coefficients: all zero up to index {format_rational(ns.budget)}")
     return _print_report(report, ns.kv, report.witness is not None)
 
 
@@ -141,7 +141,7 @@ def _cmd_eval(ns) -> int:
     point = EvaluationPoint(parse_rational(ns.r))
     rate = parse_rate_spec(ns.rate)
     value, terms = effective_partial_sum(stream, point, ns.precision, rate)
-    print(f"terms used: {terms}")
+    print(f"terms used: {format_rational(terms)}")
     print(exact_line("value", value))
     return EXIT_WITNESS
 

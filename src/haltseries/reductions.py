@@ -102,8 +102,6 @@ def semidecide_halting_via_series(
     """
     if point.r <= 0:
         raise ValueError("evaluation point must be positive for the semidecision")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     return ratio_test_probe(
         forward_reduce(program, input_value), point, SEMIDECIDE_THRESHOLD, budget
     )
@@ -191,13 +189,14 @@ class DetectorProgram:
                 "    (N = k always qualifies vacuously, so this never halts)\n"
             )
         knobs = self.knobs
-        tol = knobs.fixed_tolerance or "2^-k"
+        scale, cap = format_rational(knobs.horizon_scale), format_rational(knobs.window_cap)
+        tol = format_rational(knobs.fixed_tolerance) if knobs.fixed_tolerance else "2^-k"
         return (
             "heuristic variant (no correctness claim):\n"
             "for k = 1, 2, 3, ...:\n"
-            f"    compute exact S_1 .. S_{{{knobs.horizon_scale}k}}\n"
-            f"    if no N <= max(1, floor({knobs.window_cap} * k)) has\n"
-            f"       |S_m - S_n| < {tol} for all m, n in [N, {knobs.horizon_scale}k]:\n"
+            f"    compute exact S_1 .. S_{{{scale}k}}\n"
+            f"    if no N <= max(1, floor({cap} * k)) has\n"
+            f"       |S_m - S_n| < {tol} for all m, n in [N, {scale}k]:\n"
             "        halt with one failing pair per window start\n"
         )
 
@@ -213,14 +212,14 @@ class ThresholdCertificate:
         """This certificate's lines in a ``Halted`` report."""
         if kv:
             return [
-                f"certificate_index={self.index}",
+                f"certificate_index={format_rational(self.index)}",
                 f"certificate_sum={format_rational(self.partial_sum)}",
             ]
         return [
             "certificate:",
-            f"  N: {self.index}",
+            f"  N: {format_rational(self.index)}",
             "  " + exact_line("S_N", self.partial_sum),
-            f"  inequality: |S_N| > {self.index}",
+            f"  inequality: |S_N| > {format_rational(self.index)}",
         ]
 
 
@@ -244,22 +243,19 @@ class CauchyWindowCertificate:
 
     def report_lines(self, kv: bool) -> list[str]:
         """This certificate's lines in a ``Halted`` report."""
+        failures = [tuple(map(format_rational, (f.window_start, f.lo_index, f.hi_index, f.gap)))
+                    for f in self.failures]
         if kv:
             return [
-                f"certificate_horizon={self.horizon}",
+                f"certificate_horizon={format_rational(self.horizon)}",
                 f"certificate_tolerance={format_rational(self.tolerance)}",
-            ] + [
-                f"failure.{f.window_start}={f.lo_index},{f.hi_index},{format_rational(f.gap)}"
-                for f in self.failures
-            ]
+            ] + [f"failure.{start}={lo},{hi},{gap}" for start, lo, hi, gap in failures]
         return [
             "certificate:",
-            f"  horizon: {self.horizon}",
+            f"  horizon: {format_rational(self.horizon)}",
             f"  tolerance: {format_rational(self.tolerance)}",
         ] + [
-            f"  window start {f.window_start}: "
-            f"|S_{f.hi_index} - S_{f.lo_index}| = {format_rational(f.gap)}"
-            for f in self.failures
+            f"  window start {start}: |S_{hi} - S_{lo}| = {gap}" for start, lo, hi, gap in failures
         ]
 
 
@@ -275,11 +271,11 @@ class Halted:
         return True
 
     def to_text(self) -> str:
-        lines = [f"verdict: HALTED at iteration {self.iteration}"]
+        lines = [f"verdict: HALTED at iteration {format_rational(self.iteration)}"]
         return "\n".join(lines + self.certificate.report_lines(kv=False)) + "\n"
 
     def to_kv(self) -> str:
-        lines = ["verdict=HALTED", f"iteration={self.iteration}"]
+        lines = ["verdict=HALTED", f"iteration={format_rational(self.iteration)}"]
         return "\n".join(lines + self.certificate.report_lines(kv=True)) + "\n"
 
 
@@ -290,7 +286,7 @@ class StillRunning:
     ``trace`` holds the first few exact partial sums. For threshold runs
     ``final_bounds`` encloses the last partial sum between exact dyadic
     rationals. For window runs ``witness_log`` records, per horizon k, a
-    window start that satisfied the check: the literal runner logs k
+    window start that satisfied the check: the literal detector logs k
     itself, the heuristic the smallest qualifying start.
     """
 
@@ -304,22 +300,22 @@ class StillRunning:
         return False
 
     def to_text(self) -> str:
-        lines = [f"verdict: STILL_RUNNING after {self.budget} iterations"]
+        lines = [f"verdict: STILL_RUNNING after {format_rational(self.budget)} iterations"]
         if self.final_bounds is not None:
             lo, hi = self.final_bounds
             lines.append(
                 f"final sum enclosure: [{format_rational(lo)}, {format_rational(hi)}]"
             )
         if self.witness_log:
-            first, last = self.witness_log[0], self.witness_log[-1]
+            first, last = (" -> ".join(map(format_rational, self.witness_log[i])) for i in (0, -1))
             lines.append(
-                f"window witnesses: start {first[0]} -> {first[1]}, "
-                f"..., start {last[0]} -> {last[1]} ({len(self.witness_log)} recorded)"
+                f"window witnesses: start {first}, ..., start {last} "
+                f"({len(self.witness_log)} recorded)"
             )
         return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
 
     def to_kv(self) -> str:
-        lines = ["verdict=STILL_RUNNING", f"iterations={self.budget}"]
+        lines = ["verdict=STILL_RUNNING", f"iterations={format_rational(self.budget)}"]
         if self.final_bounds is not None:
             lo, hi = self.final_bounds
             lines.append(f"final_sum_lower={format_rational(lo)}")
@@ -363,7 +359,14 @@ def run_detector(
         return _run_threshold(detector.stream, budget, cancel)
     if detector.heuristic:
         return _run_window_heuristic(detector.stream, detector.knobs, budget, cancel)
-    return _run_window_literal(detector.stream, budget, cancel)
+    # The literal rule's first start at horizon k, k itself, gives the
+    # single-point window [k, k] with spread 0 < 2^-k: it always qualifies,
+    # so the outcome follows from the iterations completed, and only the
+    # trace needs coefficients.
+    completed = budget if cancel is None else next((k for k in range(budget) if cancel()), budget)
+    sums = prefix_sums(detector.stream, _POINT_ONE, min(completed, TRACE_POINTS))
+    log = tuple((k, k) for k in range(1, completed + 1))
+    return StillRunning(completed, tuple(enumerate(sums))[1:], witness_log=log)
 
 
 def _scaled_bounds(value: Fraction) -> tuple[int, int]:
@@ -417,31 +420,6 @@ def _run_threshold(
         budget=completed,
         trace=tuple(trace),
         final_bounds=(Fraction(lo, _UNIT), Fraction(hi, _UNIT)),
-    )
-
-
-def _run_window_literal(
-    stream: CoefficientStream,
-    budget: int,
-    cancel: Callable[[], bool] | None,
-) -> DetectorOutcome:
-    total = stream.at(0)
-    trace: list[tuple[int, Fraction]] = []
-    witness_log: list[tuple[int, int]] = []
-    for k in range(1, budget + 1):
-        if cancel is not None and cancel():
-            break
-        a = stream.at(k)
-        if k <= TRACE_POINTS:
-            total += a
-            trace.append((k, total))
-        # The first window start tried, k itself, gives the single-point
-        # window [k, k] with spread 0 < 2^-k, so it always qualifies and the
-        # literal detector can never halt. That degenerate witness is
-        # recorded per horizon.
-        witness_log.append((k, k))
-    return StillRunning(
-        budget=len(witness_log), trace=tuple(trace), witness_log=tuple(witness_log)
     )
 
 

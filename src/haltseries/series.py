@@ -81,7 +81,8 @@ class RateUndefinedError(ValueError):
     """The rate function does not cover the queried (m, r)."""
 
     def __init__(self, m: int, r: Fraction, why: str):
-        super().__init__(f"rate undefined at m={m}, r={format_rational(r)}: {why}")
+        where = f"m={format_rational(m)}, r={format_rational(r)}"
+        super().__init__(f"rate undefined at {where}: {why}")
         self.m = m
         self.r = r
 
@@ -274,23 +275,23 @@ class SeriesProbeReport:
             raise ValueError("witness must be present iff the verdict is a witness")
 
     def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict.kind}", f"budget: {self.budget_used}"]
+        lines = [f"verdict: {self.verdict.kind}", f"budget: {format_rational(self.budget_used)}"]
         if self.witness is not None:
             index, value = self.witness
-            lines.append(f"witness index: {index}")
+            lines.append(f"witness index: {format_rational(index)}")
             lines.append(exact_line("witness value", value))
         for key, value in sorted(_verdict_detail(self.verdict).items()):
-            lines.append(f"{key}: {_format_value(value)}")
+            lines.append(f"{key}: {format_rational(value)}")
         return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
 
     def to_kv(self) -> str:
-        lines = [f"verdict={self.verdict.kind}", f"budget={self.budget_used}"]
+        lines = [f"verdict={self.verdict.kind}", f"budget={format_rational(self.budget_used)}"]
         if self.witness is not None:
             index, value = self.witness
-            lines.append(f"witness_index={index}")
+            lines.append(f"witness_index={format_rational(index)}")
             lines.append(f"witness_value={format_rational(value)}")
         for key, value in sorted(_verdict_detail(self.verdict).items()):
-            lines.append(f"{key}={_format_value(value)}")
+            lines.append(f"{key}={format_rational(value)}")
         return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
 
 
@@ -302,10 +303,11 @@ def exact_line(label: str, value: Fraction) -> str:
 def trace_lines(trace: tuple[tuple[int, Fraction], ...], kv: bool) -> list[str]:
     """The report lines for sampled ``(index, exact partial sum)`` pairs."""
     if kv:
-        return [f"trace.{n}={format_rational(s)}" for n, s in trace]
+        return [f"trace.{format_rational(n)}={format_rational(s)}" for n, s in trace]
     if not trace:
         return []
-    return [f"trace (first {len(trace)}):"] + [f"  S_{n} = {format_rational(s)}" for n, s in trace]
+    lines = [f"  S_{format_rational(n)} = {format_rational(s)}" for n, s in trace]
+    return [f"trace (first {len(trace)}):"] + lines
 
 
 def _verdict_detail(verdict: Verdict) -> dict:
@@ -314,12 +316,6 @@ def _verdict_detail(verdict: Verdict) -> dict:
     if isinstance(verdict, WitnessedBoundViolation):
         return dict(verdict.detail)
     return {}
-
-
-def _format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,16 @@ def _cases() -> list[list[str]]:
              "--budget", "30", *flags])
         add(["detect", "halting_doubler.s", "--kind", "threshold", "--budget", "5000", *flags])
     add(["encode", "long.m"])
+    # Integers past the interpreter's default 4300-digit limit in report and
+    # CLI lines: a halt step, budgets, a term count and a rate's precision.
+    big_input, big_budget = "1" + "0" * 4400, "1" + "0" * 4402
+    add(["simulate", "doubler.m", "--input", big_input, "--budget", big_budget])
+    add(["simulate", "loop.m", "--input", "0", "--budget", big_budget])
+    for flags in ([], ["--kv"]):
+        add(["forward", "loop.m", "--input", "0", "--r", "1", "--budget", big_budget, *flags])
+        add(["probe", "zero.s", "--kind", "ratio", "--budget", big_budget, *flags])
+    add(["eval", "zero.s", "--r", "1", "-m", "0", "--rate", "constant:" + big_budget])
+    add(["eval", "recip.s", "--r", "1", "-m", big_budget, "--rate", "table:4,1,9"])
 
     add([])
     add(["nope"])
@@ -271,7 +281,7 @@ def _digests() -> dict[str, str]:
     return digests
 
 
-def test_cli_output_matches_the_recorded_digests(tmp_path, monkeypatch):
+def _check_digests(tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     _write_inputs(tmp_path)
@@ -280,6 +290,15 @@ def test_cli_output_matches_the_recorded_digests(tmp_path, monkeypatch):
     assert sorted(got) == sorted(expected), "the case list differs from the recording"
     changed = [key for key in got if got[key] != expected[key]]
     assert not changed, f"{len(changed)} cases changed, first: {changed[:5]}"
+
+
+def test_cli_output_matches_the_recorded_digests(tmp_path, monkeypatch):
+    _check_digests(tmp_path, monkeypatch)
+
+
+def test_cli_output_does_not_depend_on_the_int_digit_limit(tmp_path, monkeypatch):
+    with corpus.int_digit_limit(640):
+        _check_digests(tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +31,7 @@ from haltseries import (
     halted_by,
     parse_program,
     partial_sum,
+    prefix_sums,
     ratio_test_probe,
     recheck_certificate,
     run_bounded,
@@ -105,6 +105,16 @@ reports = [
 ]
 for report in reports:
     print(*report.witness)
+# This process's own peak RSS in kilobytes. Linux's ru_maxrss also counts
+# the forking parent's RSS, carried across exec, so read VmHWM where there
+# is a /proc; ru_maxrss is in bytes on macOS.
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    import resource, sys
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(maxrss // 1024 if sys.platform == "darwin" else maxrss)
 """
 
 
@@ -116,27 +126,19 @@ def test_semidecision_memory_is_flat_at_budget_1e5():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
-    proc = subprocess.Popen(
+    proc = subprocess.run(
         [sys.executable, "-c", _FLAT_MEMORY_CHILD],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         env=env,
         text=True,
         preexec_fn=limit_address_space,
+        timeout=120,
     )
-    timer = threading.Timer(120, proc.kill)
-    timer.start()
-    try:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        timer.cancel()
-        proc.stdout.close()
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert (proc.returncode, out) == (0, "80002 80003/2\n5 2\n")
-    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
-    maxrss_mb = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
-    assert maxrss_mb < 64
+    assert proc.returncode == 0, proc.stdout
+    *witnesses, peak_kb = proc.stdout.splitlines()
+    assert witnesses == ["80002 80003/2", "5 2"]
+    assert int(peak_kb) / 2 ** 10 < 64
 
 
 def test_forward_reduce_then_ratio_probe_witnesses_divergence():
@@ -426,6 +428,15 @@ def test_detector_cancellation_at_iteration_boundaries():
     )
     assert window.budget == 0
     ticks = iter(range(100))
+    window = run_detector(
+        build_cauchy_window_detector(builtin_stream("one")),
+        10 ** 6,
+        cancel=lambda: next(ticks) >= 2,
+    )
+    assert window.budget == 2
+    assert window.witness_log == ((1, 1), (2, 2))
+    assert window.trace == ((1, 2), (2, 3))
+    ticks = iter(range(100))
     heuristic = run_detector(
         build_cauchy_window_heuristic(builtin_stream("zero")),
         10 ** 6,
@@ -443,17 +454,18 @@ def test_detector_cancellation_at_iteration_boundaries():
 
 
 def test_window_detector_is_vacuous_on_everything():
-    streams = [
-        builtin_stream("zero"),
-        builtin_stream("one"),
-        builtin_stream("alternating"),
-        builtin_stream("harmonic"),
-    ]
-    for stream in streams:
-        outcome = run_detector(build_cauchy_window_detector(stream), 64)
-        assert isinstance(outcome, StillRunning), stream
+    budget = 10 ** 5
+    for name, *params in (("zero",), ("one",), ("alternating",), ("harmonic",),
+                          ("factorial_tail", 0)):
+        stream = corpus.Counting(builtin_stream(name, *params))
+        outcome = run_detector(build_cauchy_window_detector(stream), budget)
+        assert isinstance(outcome, StillRunning), name
         # the single-point window start N = k satisfies every horizon
-        assert outcome.witness_log == tuple((k, k) for k in range(1, 65))
+        assert outcome.witness_log == tuple((k, k) for k in range(1, budget + 1))
+        # so no coefficient past the trace's is needed, at any budget
+        assert stream.reads <= TRACE_POINTS + 1
+        sums = prefix_sums(builtin_stream(name, *params), UNIT, TRACE_POINTS)
+        assert outcome.trace == tuple(zip(range(1, TRACE_POINTS + 1), sums[1:]))
 
 
 def test_window_heuristic_catches_flat_ones():

@@ -9,80 +9,13 @@ arithmetic is exact, and every verdict is a budgeted semidecision:
 positive witness, negative witness, or budget exhausted.
 """
 
-from .coefficients import (
-    BuiltinId,
-    BuiltinStream,
-    CoefficientStream,
-    ExplicitStream,
-    HaltingEncoded,
-    approx_decimal,
-    builtin_stream,
-    format_rational,
-    parse_rational,
-    parse_series_spec,
-)
-from .machine import (
-    DecJz,
-    ExecutionOutcome,
-    GodelDecodeError,
-    Halt,
-    HaltedAt,
-    Inc,
-    Instruction,
-    MachineParseError,
-    MachineProgram,
-    MachineState,
-    RunningAfter,
-    decode_godel,
-    encode_godel,
-    halted_by,
-    initial_state,
-    is_halted,
-    parse_program,
-    pretty_program,
-    run_bounded,
-    step,
-)
-from .reductions import (
-    CauchyWindowCertificate,
-    CauchyWindowKnobs,
-    DetectorKind,
-    DetectorOutcome,
-    DetectorProgram,
-    Halted as DetectorHalted,
-    StillRunning,
-    ThresholdCertificate,
-    WindowFailure,
-    build_cauchy_window_detector,
-    build_cauchy_window_heuristic,
-    build_threshold_detector,
-    forward_reduce,
-    recheck_certificate,
-    run_detector,
-    semidecide_halting_via_series,
-)
-from .series import (
-    ConsistentUpToBudget,
-    ConstantRate,
-    EvaluationPoint,
-    ExpTailRate,
-    LinearRate,
-    RateFunction,
-    RateUndefinedError,
-    RootEstimateReport,
-    SeriesProbeReport,
-    TabulatedRate,
-    Verdict,
-    WitnessedBoundViolation,
-    WitnessedDivergence,
-    check_effective_criterion,
-    check_modulus,
-    effective_partial_sum,
-    parse_rate_spec,
-    partial_sum,
-    prefix_sums,
-    ratio_test_probe,
-    root_estimate,
-)
+from .coefficients import *
+from .machine import *
+from .reductions import *
+from .reductions import Halted as DetectorHalted
+from .series import *
+
+__all__ = (coefficients.__all__ + machine.__all__ + reductions.__all__ + series.__all__
+           + ["DetectorHalted"])
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "approx_decimal",
-    "TermShape",
 ]
 
 _ZERO = Fraction(0)

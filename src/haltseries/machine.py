@@ -30,7 +30,6 @@ __all__ = [
     "Instruction",
     "MachineProgram",
     "MachineState",
-    "MachineRun",
     "HaltedAt",
     "RunningAfter",
     "ExecutionOutcome",
@@ -105,13 +104,22 @@ class GodelDecodeError(ValueError):
 _OP_INC, _OP_DECJZ, _OP_HALT = 0, 1, 2
 
 
+def _text(value: int) -> str:
+    """``str(value)`` at any length, through ``coefficients``' int-to-text
+    owner (imported here, since ``coefficients`` imports this module)."""
+    from .coefficients import format_rational
+
+    return format_rational(value)
+
+
 def _instruction_problem(ins: Instruction, register_count: int, count: int) -> str | None:
     """Why ``ins`` cannot sit in a program of ``count`` instructions over
     ``register_count`` registers, or ``None`` when it can."""
     if isinstance(ins, (Inc, DecJz)) and not 0 <= ins.register < register_count:
-        return f"register {ins.register} out of range for register count {register_count}"
+        return (f"register {_text(ins.register)} out of range"
+                f" for register count {_text(register_count)}")
     if isinstance(ins, DecJz) and not 0 <= ins.target < count:
-        return f"jump target {ins.target} out of range for {count} instructions"
+        return f"jump target {_text(ins.target)} out of range for {_text(count)} instructions"
     return None
 
 
@@ -581,11 +589,11 @@ def decode_godel(code: int) -> MachineProgram:
     count = count_minus_1 + 1
     if register_count > MAX_REGISTERS:
         raise GodelDecodeError(
-            f"register count {register_count} exceeds decoder limit {MAX_REGISTERS}"
+            f"register count {_text(register_count)} exceeds decoder limit {MAX_REGISTERS}"
         )
     if count > MAX_DECODED_INSTRUCTIONS:
         raise GodelDecodeError(
-            f"instruction count {count} exceeds decoder limit {MAX_DECODED_INSTRUCTIONS}"
+            f"instruction count {_text(count)} exceeds decoder limit {MAX_DECODED_INSTRUCTIONS}"
         )
     codes: list[int] = []
     _decode_tree(tree, count, codes)

@@ -59,7 +59,6 @@ __all__ = [
     "ThresholdCertificate",
     "WindowFailure",
     "CauchyWindowCertificate",
-    "Halted",
     "StillRunning",
     "DetectorOutcome",
     "forward_reduce",

@@ -33,7 +33,6 @@ __all__ = [
     "EvaluationPoint",
     "RateFunction",
     "ExpTailRate",
-    "ConstantRate",
     "LinearRate",
     "TabulatedRate",
     "RateUndefinedError",
@@ -126,18 +125,6 @@ class ExpTailRate(RateFunction):
 
 
 @dataclass(frozen=True)
-class ConstantRate(RateFunction):
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("constant rate must be non-negative")
-
-    def terms_for(self, m: int, r: Fraction = _ZERO) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class LinearRate(RateFunction):
     """``terms_for(m) = slope * m + offset``."""
 
@@ -184,8 +171,8 @@ class TabulatedRate(RateFunction):
 def parse_rate_spec(text: str) -> RateFunction:
     """Parse a rate description.
 
-    Forms: ``exp_tail``, ``constant:N``, ``linear:SLOPE:OFFSET`` and
-    ``table:M,RBOUND,N[;M,RBOUND,N...]``.
+    Forms: ``exp_tail``, ``linear:SLOPE:OFFSET``, ``constant:N`` (that is,
+    ``linear:0:N``) and ``table:M,RBOUND,N[;M,RBOUND,N...]``.
     """
     parts = text.strip().split(":", 1)
     kind = parts[0].lower().replace("-", "_")
@@ -196,7 +183,7 @@ def parse_rate_spec(text: str) -> RateFunction:
     if kind == "constant":
         if len(parts) != 2 or not parts[1].isdecimal():
             raise ValueError("expected constant:N")
-        return ConstantRate(_text_int(parts[1]))
+        return LinearRate(0, _text_int(parts[1]))
     if kind == "linear":
         fields = text.strip().split(":")
         if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():

@@ -36,13 +36,13 @@ from haltseries import (
     builtin_stream,
     check_effective_criterion,
     check_modulus,
-    ConstantRate,
     decode_godel,
     effective_partial_sum,
     encode_godel,
     forward_reduce,
     halted_by,
     HaltingEncoded,
+    LinearRate,
     partial_sum,
     prefix_sums,
     ratio_test_probe,
@@ -248,7 +248,7 @@ def test_criterion_7_series_invariant_suite():
 
         # witness re-checkability: violated rate promise
         geo = builtin_stream("geometric", Fraction(1, 2))
-        violation = check_modulus(geo, UNIT, Fraction(2), ConstantRate(0), 5)
+        violation = check_modulus(geo, UNIT, Fraction(2), LinearRate(0, 0), 5)
         detail = violation.verdict.detail
         assert isinstance(violation.verdict, WitnessedBoundViolation)
         assert abs(partial_sum(geo, UNIT, detail["terms"]) - 2) == detail["distance"]
@@ -256,7 +256,7 @@ def test_criterion_7_series_invariant_suite():
 
         # witness re-checkability: violated growth bound
         growth = check_effective_criterion(
-            builtin_stream("factorial_tail", 0), ConstantRate(1), Fraction(1), 5, 100
+            builtin_stream("factorial_tail", 0), LinearRate(0, 1), Fraction(1), 5, 100
         )
         gdetail = growth.verdict.detail
         assert isinstance(growth.verdict, WitnessedBoundViolation)

@@ -651,6 +651,31 @@ def test_encode_without_arguments_exits_one(capsys):
     assert main(["encode"]) == 1
 
 
+def test_decode_errors_print_integers_past_the_digit_limit(capsys):
+    big = "1" + "0" * 5000
+    with corpus.int_digit_limit(0):
+        inc_big = str(corpus.cantor_pair(0, corpus.cantor_pair(0, 2 * 10 ** 5000 + 2)))
+    for limit in (sys.get_int_max_str_digits(), 640):
+        with corpus.int_digit_limit(limit):
+            assert main(["encode", "--decode", "1" + "0" * 9000]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: register count ")
+            assert err.endswith(" exceeds decoder limit 4096\n")
+            assert main(["encode", "--decode", inc_big]) == 1
+            assert capsys.readouterr().err == (
+                f"error: instruction 0: register {big} out of range for register count 1\n"
+            )
+
+
+def test_out_of_memory_exits_one_with_a_plain_message(halt_file, monkeypatch, capsys):
+    def exhausted(ns):
+        raise MemoryError
+
+    monkeypatch.setattr("haltseries.cli._cmd_simulate", exhausted)
+    assert main(["simulate", halt_file, "--input", "0", "--budget", "1"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_reports_have_no_timestamps(tmp_path, capsys):
     spec = series_file(tmp_path, "builtin zero")
     main(["detect", spec, "--kind", "threshold", "--budget", "5"])

@@ -6,11 +6,12 @@ tests find them with the standard library's ``ast``. A last check keeps
 the package from setting the interpreter's int-digit limit: integers
 cross to and from text through ``coefficients`` at any length instead. ``__init__.py`` is
 skipped by the import check, because it imports names only to re-export
-them.
+them; the last test holds it to re-exporting each module's ``__all__``.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -113,3 +114,22 @@ def test_int_digit_limit_setters_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_sets_the_int_digit_limit(path):
     assert int_digit_limit_setters(path.read_text()) == []
+
+
+def test_package_reexports_each_modules_all_and_nothing_else():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    named = [
+        (getattr(node, "module", None), alias.name, alias.asname)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    assert named == [("reductions", "Halted", "DetectorHalted")]
+    assert len(set(haltseries.__all__)) == len(haltseries.__all__)
+    public = [
+        name
+        for name, value in vars(haltseries).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert sorted(haltseries.__all__) == sorted(public)

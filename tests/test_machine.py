@@ -259,8 +259,13 @@ def test_resumed_run_agrees_with_single_stepping(program, input_value, budgets):
 
 
 def test_run_rejects_negative_input():
+    program = parse_program("halt")
     with pytest.raises(ValueError, match="natural number"):
-        MachineRun(parse_program("halt"), -1)
+        MachineRun(program, -1)
+    with pytest.raises(ValueError, match="input must be a natural number"):
+        initial_state(program, -1)
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        run_bounded(program, 0, -1)
 
 
 @given(corpus.programs(), st.integers(0, 5), st.integers(0, 100), st.integers(0, 100))
@@ -463,6 +468,32 @@ def test_decode_rejects_gigantic_headers():
     huge_count = corpus.cantor_pair(0, corpus.cantor_pair(10 ** 9, 0))
     with pytest.raises(GodelDecodeError):
         decode_godel(huge_count)
+    with pytest.raises(GodelDecodeError, match="code must be a natural number"):
+        decode_godel(-1)
+
+
+def test_invalid_program_messages_print_integers_past_the_digit_limit():
+    big, text = 10 ** 5000, "1" + "0" * 5000  # str(big) is refused under the default limit
+    decode_cases = [
+        (corpus.cantor_pair(big - 1, 0), f"register count {text} exceeds decoder limit 4096"),
+        (corpus.cantor_pair(0, corpus.cantor_pair(big - 1, 0)),
+         f"instruction count {text} exceeds decoder limit 4096"),
+        # [inc 10^5000]: instruction code 2 * 10^5000 + 2
+        (corpus.cantor_pair(0, corpus.cantor_pair(0, 2 * big + 2)),
+         f"instruction 0: register {text} out of range for register count 1"),
+        # [decjz 0 10^5000]: instruction code 2 * pair(0, 10^5000) + 1
+        (corpus.cantor_pair(0, corpus.cantor_pair(0, 2 * corpus.cantor_pair(0, big) + 1)),
+         f"instruction 0: jump target {text} out of range for 1 instructions"),
+    ]
+    for limit in (sys.get_int_max_str_digits(), 640):
+        with corpus.int_digit_limit(limit):
+            for code, message in decode_cases:
+                with pytest.raises(GodelDecodeError) as err:
+                    decode_godel(code)
+                assert str(err.value) == message
+            with pytest.raises(ValueError) as err:
+                MachineProgram((Inc(big),), 1)
+            assert str(err.value) == f"instruction 0: register {text} out of range for register count 1"
 
 
 def test_program_validation_rejects_bad_shapes():

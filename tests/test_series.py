@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from haltseries import (
     CoefficientStream,
     ConsistentUpToBudget,
-    ConstantRate,
     EvaluationPoint,
     ExpTailRate,
     ExplicitStream,
@@ -248,15 +247,16 @@ def test_exp_tail_rate_values():
 def test_exp_tail_rate_undefined_past_one():
     with pytest.raises(RateUndefinedError):
         ExpTailRate().terms_for(5, Fraction(3, 2))
+    with pytest.raises(RateUndefinedError, match="precision exponent must be non-negative"):
+        ExpTailRate().terms_for(-1)
 
 
 def test_constant_and_linear_rates():
-    assert ConstantRate(4).terms_for(99) == 4
+    assert LinearRate(0, 4).terms_for(99) == 4
     assert LinearRate(2, 3).terms_for(5) == 13
-    with pytest.raises(ValueError):
-        ConstantRate(-1)
-    with pytest.raises(ValueError):
-        LinearRate(-1, 0)
+    for slope, offset in [(0, -1), (-1, 0)]:
+        with pytest.raises(ValueError, match="linear rate coefficients must be non-negative"):
+            LinearRate(slope, offset)
 
 
 def test_tabulated_rate_lookup():
@@ -267,6 +267,9 @@ def test_tabulated_rate_lookup():
         rate.terms_for(11, Fraction(1, 2))
     with pytest.raises(RateUndefinedError):
         rate.terms_for(5, Fraction(2))
+    for row in [(-1, Fraction(1), 5), (5, Fraction(-1), 5), (5, Fraction(1), -1)]:
+        with pytest.raises(ValueError, match="tabulated rate entries must be non-negative"):
+            TabulatedRate((row,))
 
 
 def test_tabulated_rate_is_nondecreasing_in_m():
@@ -277,12 +280,20 @@ def test_tabulated_rate_is_nondecreasing_in_m():
 
 def test_parse_rate_spec_forms():
     assert isinstance(parse_rate_spec("exp_tail"), ExpTailRate)
-    assert parse_rate_spec("constant:5") == ConstantRate(5)
+    assert parse_rate_spec("constant:5") == LinearRate(0, 5)
     assert parse_rate_spec("linear:1:1") == LinearRate(1, 1)
     table = parse_rate_spec("table:5,1,10;10,1/2,20")
     assert table.terms_for(5, Fraction(1)) == 10
-    for bad in ("exp_tail:1", "constant:x", "linear:1", "table:1,2", "table:1,1/0,5", "wat"):
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ("exp_tail:1", "exp_tail takes no parameters"),
+        ("constant:x", "expected constant:N"),
+        ("linear:1", "expected linear:SLOPE:OFFSET"),
+        ("table", "expected table:M,RBOUND,N"),
+        ("table:1,2", "bad table row"),
+        ("table:1,1/0,5", "invalid rational"),
+        ("wat", "unknown rate kind"),
+    ]:
+        with pytest.raises(ValueError, match=message):
             parse_rate_spec(bad)
 
 
@@ -324,7 +335,7 @@ def test_effective_partial_sum_reports_terms_used():
 
 
 def test_effective_partial_sum_zero_stream_is_exact():
-    value, _ = effective_partial_sum(builtin_stream("zero"), UNIT, 30, ConstantRate(0))
+    value, _ = effective_partial_sum(builtin_stream("zero"), UNIT, 30, LinearRate(0, 0))
     assert value == 0
 
 
@@ -424,6 +435,20 @@ def test_ratio_probe_term_shape_path_matches_generic_path(stream, r, threshold, 
     assert fast.to_kv() == generic.to_kv()
 
 
+def test_sums_and_probes_reject_out_of_range_bounds():
+    one, rate = builtin_stream("one"), LinearRate(0, 1)
+    for call, message in [
+        (lambda: partial_sum(one, UNIT, -1), "partial sum index must be non-negative"),
+        (lambda: effective_partial_sum(one, UNIT, -1, rate), "precision exponent must be non-negative"),
+        (lambda: root_estimate(one, 0), "n_max must be at least 1"),
+        (lambda: check_effective_criterion(one, rate, Fraction(1), -1, 10), "k_max must be >= 0"),
+        (lambda: check_effective_criterion(one, rate, Fraction(1), 0, 0), "n_budget >= 1"),
+        (lambda: check_modulus(one, UNIT, Fraction(0), rate, -1), "n_max must be non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_ratio_probe_validates_inputs():
     with pytest.raises(ValueError):
         ratio_test_probe(builtin_stream("one"), UNIT, Fraction(1), 10)
@@ -479,14 +504,14 @@ def test_root_estimate_handles_huge_magnitudes():
 
 def test_effective_criterion_flat_series_is_consistent():
     report = check_effective_criterion(
-        builtin_stream("one"), ConstantRate(1), Fraction(1), 20, 500
+        builtin_stream("one"), LinearRate(0, 1), Fraction(1), 20, 500
     )
     assert report.verdict == ConsistentUpToBudget(500)
 
 
 def test_effective_criterion_factorial_violation_is_exact():
     report = check_effective_criterion(
-        builtin_stream("factorial_tail", 0), ConstantRate(1), Fraction(1), 5, 100
+        builtin_stream("factorial_tail", 0), LinearRate(0, 1), Fraction(1), 5, 100
     )
     assert isinstance(report.verdict, WitnessedBoundViolation)
     detail = report.verdict.detail
@@ -498,7 +523,7 @@ def test_effective_criterion_factorial_violation_is_exact():
 
 def test_effective_criterion_zero_stream_consistent():
     report = check_effective_criterion(
-        builtin_stream("zero"), ConstantRate(0), Fraction(1000), 10, 200
+        builtin_stream("zero"), LinearRate(0, 0), Fraction(1000), 10, 200
     )
     assert report.verdict == ConsistentUpToBudget(200)
 
@@ -506,10 +531,10 @@ def test_effective_criterion_zero_stream_consistent():
 def test_effective_criterion_respects_rate_start_index():
     # starting the scan past the only violation hides it
     stream = ExplicitStream((Fraction(1), Fraction(50)), Fraction(0))
-    hit = check_effective_criterion(stream, ConstantRate(1), Fraction(1), 0, 30)
+    hit = check_effective_criterion(stream, LinearRate(0, 1), Fraction(1), 0, 30)
     assert isinstance(hit.verdict, WitnessedBoundViolation)
     assert hit.verdict.detail["n"] == 1
-    missed = check_effective_criterion(stream, ConstantRate(2), Fraction(1), 0, 30)
+    missed = check_effective_criterion(stream, LinearRate(0, 2), Fraction(1), 0, 30)
     assert isinstance(missed.verdict, ConsistentUpToBudget)
 
 
@@ -520,7 +545,7 @@ def test_effective_criterion_respects_rate_start_index():
 
 def test_check_modulus_zero_stream_consistent():
     report = check_modulus(
-        builtin_stream("zero"), UNIT, Fraction(0), ConstantRate(0), 30
+        builtin_stream("zero"), UNIT, Fraction(0), LinearRate(0, 0), 30
     )
     assert report.verdict == ConsistentUpToBudget(30)
 
@@ -535,7 +560,7 @@ def test_check_modulus_honest_rate_for_dyadic_geometric():
 
 def test_check_modulus_dishonest_rate_is_caught_exactly():
     report = check_modulus(
-        builtin_stream("geometric", Fraction(1, 2)), UNIT, Fraction(2), ConstantRate(0), 5
+        builtin_stream("geometric", Fraction(1, 2)), UNIT, Fraction(2), LinearRate(0, 0), 5
     )
     assert isinstance(report.verdict, WitnessedBoundViolation)
     detail = report.verdict.detail
@@ -605,7 +630,7 @@ def modulus_outcome(probe, *args):
 
 
 rates = st.one_of(
-    st.integers(0, 20).map(ConstantRate),
+    st.integers(0, 20).map(lambda n: LinearRate(0, n)),
     st.builds(LinearRate, st.integers(0, 3), st.integers(0, 10)),
     st.lists(
         st.tuples(st.integers(0, 12), st.fractions(0, 3, max_denominator=4), st.integers(0, 30)),
@@ -643,10 +668,10 @@ def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max
          (2, 10)),
         (ExplicitStream((Fraction(1), Fraction(-1, 2)), Fraction(0)), Fraction(1, 2),
          Zigzag((4, 1, 2)), 9, None),
-        (builtin_stream("zero"), Fraction(0), ConstantRate(0), 12, None),
+        (builtin_stream("zero"), Fraction(0), LinearRate(0, 0), 12, None),
         # S_k - 2/3 = -(-1/2)^(k+1) * 2/3 has the sign of its shape's denominator
         (NegativeDenominator(), Fraction(2, 3), LinearRate(1, 0), 16, None),
-        (NegativeDenominator(), Fraction(2, 3), ConstantRate(3), 16, (5, 3)),
+        (NegativeDenominator(), Fraction(2, 3), LinearRate(0, 3), 16, (5, 3)),
     ],
 )
 def test_check_modulus_fails_first_late_or_never_like_the_reference(
@@ -677,8 +702,8 @@ def test_check_modulus_on_a_shaped_stream_reads_one_coefficient():
 def test_no_probe_ever_claims_convergence():
     reports = [
         ratio_test_probe(builtin_stream("geometric", Fraction(1, 2)), UNIT, Fraction(2), 50),
-        check_modulus(builtin_stream("zero"), UNIT, Fraction(0), ConstantRate(0), 10),
-        check_effective_criterion(builtin_stream("one"), ConstantRate(1), Fraction(1), 5, 50),
+        check_modulus(builtin_stream("zero"), UNIT, Fraction(0), LinearRate(0, 0), 10),
+        check_effective_criterion(builtin_stream("one"), LinearRate(0, 1), Fraction(1), 5, 50),
     ]
     for report in reports:
         assert report.verdict.kind == "CONSISTENT_UP_TO_BUDGET"

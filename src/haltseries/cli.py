@@ -16,41 +16,17 @@ import re
 import sys
 from pathlib import Path
 
-from .coefficients import (
-    CoefficientStream,
-    _text_int,
-    format_rational,
-    parse_rational,
-    parse_series_spec,
-)
+# Only the machine layer loads with the CLI; each command reads the rest from
+# the package when it runs, so ``simulate`` and ``encode`` never load it.
 from .machine import (
     MachineProgram,
+    _int_text,
+    _text_int,
     decode_godel,
     encode_godel,
     parse_program,
     pretty_program,
     run_bounded,
-)
-from .reductions import (
-    CauchyWindowKnobs,
-    DetectorOutcome,
-    build_cauchy_window_detector,
-    build_cauchy_window_heuristic,
-    build_threshold_detector,
-    forward_reduce,
-    run_detector,
-    semidecide_halting_via_series,
-)
-from .series import (
-    EvaluationPoint,
-    SeriesProbeReport,
-    check_effective_criterion,
-    check_modulus,
-    effective_partial_sum,
-    exact_line,
-    parse_rate_spec,
-    ratio_test_probe,
-    root_estimate,
 )
 
 EXIT_WITNESS = 0
@@ -79,12 +55,15 @@ def _load_program(path: str) -> MachineProgram:
     return parse_program(Path(path).read_text())
 
 
-def _load_stream(path: str) -> CoefficientStream:
+def _load_stream(path: str):
+    from . import parse_series_spec
+
     p = Path(path)
     return parse_series_spec(p.read_text(), base_dir=p.parent)
 
 
-def _print_report(report: SeriesProbeReport | DetectorOutcome, kv: bool, witnessed: bool) -> int:
+def _print_report(report, kv: bool, witnessed: bool) -> int:
+    """Print a probe report or detector outcome as text or key=value lines."""
     sys.stdout.write(report.to_kv() if kv else report.to_text())
     return EXIT_WITNESS if witnessed else EXIT_BUDGET_EXHAUSTED
 
@@ -93,13 +72,16 @@ def _cmd_simulate(ns) -> int:
     program = _load_program(ns.machine_file)
     outcome = run_bounded(program, ns.input, ns.budget)
     if outcome.halted:
-        print(f"HALTED at step {format_rational(outcome.steps)}")
+        print(f"HALTED at step {_int_text(outcome.steps)}")
         return EXIT_WITNESS
-    print(f"RUNNING after {format_rational(outcome.budget)}")
+    print(f"RUNNING after {_int_text(outcome.budget)}")
     return EXIT_BUDGET_EXHAUSTED
 
 
 def _cmd_forward(ns) -> int:
+    from . import (EvaluationPoint, format_rational, forward_reduce, parse_rational,
+                   semidecide_halting_via_series)
+
     program = _load_program(ns.machine_file)
     point = EvaluationPoint(parse_rational(ns.r))
     report = semidecide_halting_via_series(program, ns.input, point, ns.budget)
@@ -117,6 +99,9 @@ def _cmd_forward(ns) -> int:
 
 
 def _cmd_detect(ns) -> int:
+    from . import (CauchyWindowKnobs, build_cauchy_window_detector, build_cauchy_window_heuristic,
+                   build_threshold_detector, parse_rational, run_detector)
+
     stream = _load_stream(ns.series_file)
     if ns.kind == "threshold":
         detector = build_threshold_detector(stream)
@@ -124,11 +109,11 @@ def _cmd_detect(ns) -> int:
         detector = build_cauchy_window_detector(stream)
     else:
         tolerance = parse_rational(ns.tolerance) if ns.tolerance else None
+        defaults = CauchyWindowKnobs  # the owner of the unset flags' values
+        scale = defaults.horizon_scale if ns.horizon_scale is None else ns.horizon_scale
+        cap = defaults.window_cap if ns.window_cap is None else parse_rational(ns.window_cap)
         detector = build_cauchy_window_heuristic(
-            stream,
-            horizon_scale=ns.horizon_scale,
-            window_cap=parse_rational(ns.window_cap),
-            fixed_tolerance=tolerance,
+            stream, horizon_scale=scale, window_cap=cap, fixed_tolerance=tolerance
         )
     if ns.show_program:
         print(detector.describe(), end="")
@@ -137,6 +122,10 @@ def _cmd_detect(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
+    from . import (EvaluationPoint, effective_partial_sum, format_rational, parse_rate_spec,
+                   parse_rational)
+    from .series import exact_line
+
     stream = _load_stream(ns.series_file)
     point = EvaluationPoint(parse_rational(ns.r))
     rate = parse_rate_spec(ns.rate)
@@ -147,6 +136,9 @@ def _cmd_eval(ns) -> int:
 
 
 def _cmd_probe(ns) -> int:
+    from . import (EvaluationPoint, check_effective_criterion, check_modulus, parse_rate_spec,
+                   parse_rational, ratio_test_probe, root_estimate)
+
     stream = _load_stream(ns.series_file)
     if ns.kind == "root":
         result = root_estimate(stream, ns.n_max)
@@ -183,7 +175,7 @@ def _cmd_encode(ns) -> int:
         return _fail("encode requires a machine file or --decode CODE")
     program = _load_program(ns.machine_file)
     code = encode_godel(program)
-    print(format_rational(code))
+    print(_int_text(code))
     if decode_godel(code) != program:
         return _fail("round-trip check failed")  # pragma: no cover
     return EXIT_WITNESS
@@ -213,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("threshold", "cauchy", "cauchy-heuristic"), required=True
     )
     p.add_argument("--budget", type=_positive, required=True)
-    p.add_argument("--horizon-scale", type=_positive, default=CauchyWindowKnobs.horizon_scale)
-    p.add_argument("--window-cap", default=str(CauchyWindowKnobs.window_cap))
+    p.add_argument("--horizon-scale", type=_positive, default=None)
+    p.add_argument("--window-cap", default=None)
     p.add_argument("--tolerance", default=None)
     p.add_argument("--show-program", action="store_true")
     p.add_argument("--kv", action="store_true")

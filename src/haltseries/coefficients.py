@@ -12,16 +12,14 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-import decimal
 import enum
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .machine import MachineProgram, MachineRun, parse_program
+from .machine import MachineProgram, MachineRun, _int_text, _text_int, parse_program
 
 __all__ = [
     "BuiltinId",
@@ -269,51 +267,11 @@ def parse_rational(text: Fraction | int | str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
-def _text_int(text: str) -> int:
-    """``int(text)`` at any length: long digit runs split into ``hi * 10**k + lo``."""
-    body = text.strip()
-    digits = body[1:] if body.startswith(("+", "-")) else body
-    if len(body) <= 600 or not digits.isdecimal():
-        return int(text)
-    k = len(digits) // 2
-    value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
-    return -value if body.startswith("-") else value
-
-
 def format_rational(value: Fraction) -> str:
     """Lowest-terms ``p/q`` text; integers print without a denominator."""
     value = Fraction(value)
     text = _int_text(value.numerator)
     return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
-
-
-def _int_text(value: int) -> str:
-    """``str(value)`` at any length, in subquadratic time.
-
-    ``str`` takes up to 32768 bits (where it is faster) and 3 * limit bits
-    (it cannot raise there); larger values split at half their bit length
-    into ``lo + hi * 2**w`` in ``decimal`` (Brent and Zimmermann, *Modern
-    Computer Arithmetic* 1.7), down to 2048-bit leaves.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bits = value.bit_length()
-    if bits <= 32768 and (not limit or bits <= 3 * limit):
-        return str(value)
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                            traps=[decimal.Inexact])
-    powers: dict[int, decimal.Decimal] = {}
-
-    def convert(n: int, width: int) -> decimal.Decimal:
-        if width <= 2048:
-            return decimal.Decimal(n)
-        half = width >> 1
-        if half not in powers:
-            powers[half] = exact.power(2, half)
-        hi = n >> half
-        return exact.fma(convert(hi, width - half), powers[half], convert(n - (hi << half), half))
-
-    text = str(convert(abs(value), bits))
-    return "-" + text if value < 0 else text
 
 
 def approx_decimal(value: Fraction) -> str:

@@ -12,13 +12,16 @@ Programs carry an explicit register count (register 0 holds the input and
 the output by convention) and are immutable after construction. Besides
 the interpreter, this module provides a line-oriented source format and an
 injective arithmetic encoding of programs as natural numbers, built from
-the Cantor pairing function.
+the Cantor pairing function. Its private ``_int_text`` and ``_text_int``
+convert integers to and from decimal text at any length, for the whole
+package.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -104,22 +107,57 @@ class GodelDecodeError(ValueError):
 _OP_INC, _OP_DECJZ, _OP_HALT = 0, 1, 2
 
 
-def _text(value: int) -> str:
-    """``str(value)`` at any length, through ``coefficients``' int-to-text
-    owner (imported here, since ``coefficients`` imports this module)."""
-    from .coefficients import format_rational
+def _int_text(value: int) -> str:
+    """``str(value)`` at any length, in subquadratic time.
 
-    return format_rational(value)
+    ``str`` takes up to 32768 bits (where it is faster) and 3 * limit bits
+    (it cannot raise there); larger values split at half their bit length
+    into ``lo + hi * 2**w`` in ``decimal`` (Brent and Zimmermann, *Modern
+    Computer Arithmetic* 1.7), down to 2048-bit leaves.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = value.bit_length()
+    if bits <= 32768 and (not limit or bits <= 3 * limit):
+        return str(value)
+    import decimal  # only here, so that commands which print small integers never load it
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                            traps=[decimal.Inexact])
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(n: int, width: int) -> decimal.Decimal:
+        if width <= 2048:
+            return decimal.Decimal(n)
+        half = width >> 1
+        if half not in powers:
+            powers[half] = exact.power(2, half)
+        hi = n >> half
+        return exact.fma(convert(hi, width - half), powers[half], convert(n - (hi << half), half))
+
+    text = str(convert(abs(value), bits))
+    return "-" + text if value < 0 else text
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` at any length: long digit runs split into ``hi * 10**k + lo``."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if len(body) <= 600 or not digits.isdecimal():
+        return int(text)
+    k = len(digits) // 2
+    value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
+    return -value if body.startswith("-") else value
 
 
 def _instruction_problem(ins: Instruction, register_count: int, count: int) -> str | None:
     """Why ``ins`` cannot sit in a program of ``count`` instructions over
     ``register_count`` registers, or ``None`` when it can."""
     if isinstance(ins, (Inc, DecJz)) and not 0 <= ins.register < register_count:
-        return (f"register {_text(ins.register)} out of range"
-                f" for register count {_text(register_count)}")
+        return (f"register {_int_text(ins.register)} out of range"
+                f" for register count {_int_text(register_count)}")
     if isinstance(ins, DecJz) and not 0 <= ins.target < count:
-        return f"jump target {_text(ins.target)} out of range for {_text(count)} instructions"
+        return (f"jump target {_int_text(ins.target)} out of range"
+                f" for {_int_text(count)} instructions")
     return None
 
 
@@ -323,13 +361,13 @@ def pretty_program(program: MachineProgram) -> str:
     ) + 1
     lines: list[str] = []
     if program.register_count != max(inferred, 1):
-        lines.append(f"registers {program.register_count}")
+        lines.append(f"registers {_int_text(program.register_count)}")
     for i, ins in enumerate(program.instructions):
-        prefix = f"L{i}: " if i in targets else ""
+        prefix = f"L{_int_text(i)}: " if i in targets else ""
         if isinstance(ins, Inc):
-            lines.append(f"{prefix}inc {ins.register}")
+            lines.append(f"{prefix}inc {_int_text(ins.register)}")
         elif isinstance(ins, DecJz):
-            lines.append(f"{prefix}decjz {ins.register} L{ins.target}")
+            lines.append(f"{prefix}decjz {_int_text(ins.register)} L{_int_text(ins.target)}")
         else:
             lines.append(f"{prefix}halt")
     return "\n".join(lines) + "\n"
@@ -589,11 +627,11 @@ def decode_godel(code: int) -> MachineProgram:
     count = count_minus_1 + 1
     if register_count > MAX_REGISTERS:
         raise GodelDecodeError(
-            f"register count {_text(register_count)} exceeds decoder limit {MAX_REGISTERS}"
+            f"register count {_int_text(register_count)} exceeds decoder limit {MAX_REGISTERS}"
         )
     if count > MAX_DECODED_INSTRUCTIONS:
         raise GodelDecodeError(
-            f"instruction count {_text(count)} exceeds decoder limit {MAX_DECODED_INSTRUCTIONS}"
+            f"instruction count {_int_text(count)} exceeds decoder limit {MAX_DECODED_INSTRUCTIONS}"
         )
     codes: list[int] = []
     _decode_tree(tree, count, codes)

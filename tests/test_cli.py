@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import pytest
 
 import haltseries
 from haltseries import (
+    CauchyWindowKnobs,
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
     build_threshold_detector,
     decode_godel,
     encode_godel,
+    format_rational,
     parse_program,
     parse_series_spec,
     run_detector,
@@ -256,6 +259,20 @@ def test_probe_bad_rate_spec_exits_one(tmp_path, capsys):
          "--rate", "table:1,1/0,5", "--n-max", "3"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("body", ["builtin one", "builtin geometric 1/2"])
+def test_detect_heuristic_knob_defaults_come_from_the_knobs(tmp_path, capsys, body):
+    spec = series_file(tmp_path, body)
+    defaults = ["--horizon-scale", format_rational(CauchyWindowKnobs.horizon_scale),
+                "--window-cap", format_rational(CauchyWindowKnobs.window_cap)]
+    runs = []
+    for flags in ([], defaults):
+        for kv in ([], ["--kv"]):
+            code = main(["detect", spec, "--kind", "cauchy-heuristic", "--budget", "12",
+                         "--show-program", *flags, *kv])
+            runs.append((code, capsys.readouterr().out))
+    assert runs[:2] == runs[2:]
 
 
 def test_detect_budget_is_mandatory(tmp_path):
@@ -723,3 +740,38 @@ def test_a_huge_decimal_exponent_exits_one_at_once(tmp_path):
     assert proc.stderr == (
         "error: invalid rational '1e10000000': decimal exponent has more than 4 digits\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# start-up: what each command loads
+# ---------------------------------------------------------------------------
+
+_LOADED = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('haltseries')),"
+    " file=sys.stderr))\n"
+)
+
+
+def _modules_loaded(code: str, *argv: str) -> tuple[int, list[str]]:
+    """Run ``code`` in a child with ``argv``; its exit code and the package
+    modules it had loaded at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LOADED + code, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, halt_file):
+    cli = "from haltseries.cli import app\napp()\n"
+    machine_only = ["haltseries", "haltseries.cli", "haltseries.machine"]
+    assert _modules_loaded(cli, "simulate", halt_file, "--input", "0", "--budget", "5") == (
+        0, machine_only)
+    assert _modules_loaded(cli, "encode", "--decode", "0") == (0, machine_only)
+    spec = series_file(tmp_path, "builtin reciprocal_factorial")
+    for argv, exit_code in ((["eval", spec, "--r", "1", "-m", "5", "--rate", "exp_tail"], 0),
+                            (["probe", spec, "--kind", "ratio", "--budget", "10"], 2)):
+        code, loaded = _modules_loaded(cli, *argv)
+        assert code == exit_code and "haltseries.series" in loaded, argv
+        assert "haltseries.reductions" not in loaded, argv
+    assert _modules_loaded("import haltseries\n") == (0, ["haltseries"])

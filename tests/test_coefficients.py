@@ -23,7 +23,7 @@ from haltseries import (
     parse_series_spec,
     run_bounded,
 )
-from haltseries.coefficients import _int_text, _text_int
+from haltseries.machine import _int_text, _text_int
 
 import corpus
 

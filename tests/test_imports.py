@@ -2,14 +2,17 @@
 private top-level name is used somewhere besides its definition.
 
 Moving or deleting code tends to leave imports and helpers behind; these
-tests find them with the standard library's ``ast``. A last check keeps
+tests find them with the standard library's ``ast``. Another check keeps
 the package from setting the interpreter's int-digit limit: integers
-cross to and from text through ``coefficients`` at any length instead. ``__init__.py`` is
-skipped by the import check, because it imports names only to re-export
-them; the last test holds it to re-exporting each module's ``__all__``.
+cross to and from text through ``machine``'s helpers at any length
+instead. The modules form an import chain, ``machine``, ``coefficients``,
+``series``, ``reductions``, in which each imports only the ones before
+it; ``__init__.py`` loads them along that chain on first use, and the
+last tests hold it to re-exporting each module's ``__all__``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 from types import ModuleType
 
@@ -18,7 +21,9 @@ import pytest
 import haltseries
 
 PACKAGE = Path(haltseries.__file__).parent
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+#: The import chain: each module may import only the ones before it.
+CHAIN = ("machine", "coefficients", "series", "reductions")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,7 +94,7 @@ def test_unused_private_names_are_found():
 
 
 def test_package_uses_every_private_top_level_name():
-    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    sources = [path.read_text() for path in MODULES]
     assert unused_private_names(sources) == []
 
 
@@ -111,25 +116,86 @@ def test_int_digit_limit_setters_are_found():
     assert int_digit_limit_setters(source) == [2, 3, 5]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_sets_the_int_digit_limit(path):
     assert int_digit_limit_setters(path.read_text()) == []
 
 
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` for each import of a module of the package, at
+    module level or inside a function, relative or absolute. The package
+    itself is ``""``: what it loads depends on the name read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append((node.lineno, (node.module or "").split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "haltseries":
+            found.append((node.lineno, node.module.partition(".")[2].split(".")[0]))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[2].split(".")[0])
+                      for alias in node.names if alias.name.split(".")[0] == "haltseries"]
+    return sorted(found)
+
+
+def chain_breaks(module: str, source: str) -> list[tuple[int, str]]:
+    """The imports in ``module``'s ``source`` of anything but a module
+    before it in ``CHAIN``."""
+    earlier = CHAIN[: CHAIN.index(module)]
+    return [(line, name) for line, name in package_imports(source) if name not in earlier]
+
+
+def test_chain_breaks_are_found():
+    source = (
+        "from .machine import Inc\nfrom .series import partial_sum\n"
+        "def late():\n    from .reductions import run_detector\n    from . import format_rational\n"
+        "import haltseries.machine\nimport haltseries.cli as cli\nfrom haltseries import Inc\n"
+        "from haltseries.coefficients import format_rational\nimport fractions\n"
+    )
+    assert chain_breaks("coefficients", source) == [
+        (2, "series"), (4, "reductions"), (5, ""), (7, "cli"), (8, ""), (9, "coefficients")]
+    assert chain_breaks("series", source) == [
+        (2, "series"), (4, "reductions"), (5, ""), (7, "cli"), (8, "")]
+    assert chain_breaks("machine", "import math\n") == []
+
+
+@pytest.mark.parametrize("module", CHAIN)
+def test_module_imports_only_modules_before_it_in_the_chain(module):
+    assert chain_breaks(module, (PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_chain_holds_every_module_and_is_the_lookup_order():
+    # cli and __init__ may import any module; every other module sits in the chain.
+    assert sorted(CHAIN) == sorted(p.stem for p in MODULES if p.stem not in ("__init__", "cli"))
+    assert haltseries._CHAIN == CHAIN
+
+
 def test_package_reexports_each_modules_all_and_nothing_else():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    named = [
-        (getattr(node, "module", None), alias.name, alias.asname)
+    assert not any(alias.name == "*" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names)
+    # No import, name, string or table in __init__.py spells a public name but the alias.
+    spelled = {
+        getattr(node, key)
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        if alias.name != "*"
-    ]
-    assert named == [("reductions", "Halted", "DetectorHalted")]
+        for key in ("id", "attr", "name", "asname", "arg", "value")
+        if isinstance(getattr(node, key, None), str)
+    }
+    assert spelled & set(haltseries.__all__) == {"DetectorHalted"}
+    modules = [importlib.import_module(f"haltseries.{name}") for name in CHAIN]
+    joined = [name for module in modules for name in module.__all__]
+    assert haltseries.__all__ == joined + ["DetectorHalted"]
     assert len(set(haltseries.__all__)) == len(haltseries.__all__)
-    public = [
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(haltseries, name) is getattr(module, name), name
+    assert haltseries.DetectorHalted is modules[-1].Halted
+    public = {
         name
-        for name, value in vars(haltseries).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    ]
-    assert sorted(haltseries.__all__) == sorted(public)
+        for name in dir(haltseries)
+        if not name.startswith("_") and not isinstance(getattr(haltseries, name), ModuleType)
+    }
+    assert public == set(haltseries.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'Halted'"):
+        haltseries.Halted
+    with pytest.raises(AttributeError):
+        haltseries.no_such_name

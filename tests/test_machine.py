@@ -496,6 +496,20 @@ def test_invalid_program_messages_print_integers_past_the_digit_limit():
             assert str(err.value) == f"instruction 0: register {text} out of range for register count 1"
 
 
+def test_pretty_program_prints_integers_past_the_digit_limit():
+    big, text = 10 ** 5000, "1" + "0" * 5000
+    programs = [
+        (MachineProgram((Inc(0),), big), f"registers {text}\ninc 0\n"),
+        (MachineProgram((Inc(big), Halt()), big + 1), f"inc {text}\nhalt\n"),
+        (MachineProgram((DecJz(big, 1), Halt()), big + 2),
+         f"registers {text[:-1]}2\ndecjz {text} L1\nL1: halt\n"),
+    ]
+    for limit in (sys.get_int_max_str_digits(), 640):
+        with corpus.int_digit_limit(limit):
+            for program, source in programs:
+                assert pretty_program(program) == source
+
+
 def test_program_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         MachineProgram((), 1)

@@ -32,6 +32,9 @@ def __getattr__(name: str):
         value.append("DetectorHalted")
     elif name == "DetectorHalted":
         value = _module("reductions").Halted
+    elif name == "cli" or name in _CHAIN:
+        # ``from haltseries import cli`` asks for the attribute first: load that module alone.
+        value = _module(name)
     else:
         owner = next((m for m in map(_module, _CHAIN) if name in m.__all__), None)
         if owner is None:

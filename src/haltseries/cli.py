@@ -21,6 +21,7 @@ from pathlib import Path
 from .machine import (
     MachineProgram,
     _int_text,
+    _int_texts,
     _text_int,
     decode_godel,
     encode_godel,
@@ -91,7 +92,10 @@ def _cmd_forward(ns) -> int:
     if outcome.halted:
         coeffs = forward_reduce(program, ns.input)
         shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
-        preview = (f"a_{format_rational(n)}={format_rational(coeffs.at(n))}" for n in shown)
+        # The coefficients are the integers n!, each a small multiple of the
+        # one before, so one pass renders them all from a single conversion.
+        texts = _int_texts(coeffs.at(n).numerator for n in shown)
+        preview = (f"a_{format_rational(n)}={text}" for n, text in zip(shown, texts))
         print("coefficients (first nonzero): " + " ".join(preview))
     else:
         print(f"coefficients: all zero up to index {format_rational(ns.budget)}")

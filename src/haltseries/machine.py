@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "Inc",
@@ -107,27 +107,37 @@ class GodelDecodeError(ValueError):
 _OP_INC, _OP_DECJZ, _OP_HALT = 0, 1, 2
 
 
+def _str_renders(bits: int) -> bool:
+    """Whether ``str`` prints a value of ``bits`` bits: up to 32768 bits, where it
+    is faster, and up to 3 * limit bits, where it cannot raise."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return bits <= 32768 and (not limit or bits <= 3 * limit)
+
+
+def _exact_context():
+    """A fresh ``decimal`` context that holds any integer and traps ``Inexact``."""
+    import decimal  # only here, so that commands which print small integers never load it
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.Inexact])
+
+
 def _int_text(value: int) -> str:
     """``str(value)`` at any length, in subquadratic time.
 
-    ``str`` takes up to 32768 bits (where it is faster) and 3 * limit bits
-    (it cannot raise there); larger values split at half their bit length
-    into ``lo + hi * 2**w`` in ``decimal`` (Brent and Zimmermann, *Modern
-    Computer Arithmetic* 1.7), down to 2048-bit leaves.
+    ``str`` takes the values ``_str_renders`` allows; larger values split at
+    half their bit length into ``lo + hi * 2**w`` in ``decimal`` (Brent and
+    Zimmermann, *Modern Computer Arithmetic* 1.7), down to 2048-bit leaves.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bits = value.bit_length()
-    if bits <= 32768 and (not limit or bits <= 3 * limit):
+    if _str_renders(bits):
         return str(value)
-    import decimal  # only here, so that commands which print small integers never load it
+    exact = _exact_context()
+    powers = {}
 
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                            traps=[decimal.Inexact])
-    powers: dict[int, decimal.Decimal] = {}
-
-    def convert(n: int, width: int) -> decimal.Decimal:
+    def convert(n: int, width: int):
         if width <= 2048:
-            return decimal.Decimal(n)
+            return exact.create_decimal(n)
         half = width >> 1
         if half not in powers:
             powers[half] = exact.power(2, half)
@@ -136,6 +146,31 @@ def _int_text(value: int) -> str:
 
     text = str(convert(abs(value), bits))
     return "-" + text if value < 0 else text
+
+
+def _int_texts(values: Iterable[int]) -> Iterator[str]:
+    """``_int_text`` of each value in turn, each small multiple printed from the one before.
+
+    A value that is ``q`` times the last value converted in ``decimal``, for
+    ``1 <= q < 2**64``, prints as one linear product in the exact context,
+    so n!, (n+1)!, ... cost one full conversion. Trying ``divmod`` only on a
+    gap of at most 64 bits keeps it linear, and ``q >= 1`` keeps the sign,
+    so ``-0`` never prints. It holds one value and one text at a time.
+    """
+    prev = last = exact = None
+    for value in values:
+        if prev is not None and value.bit_length() <= prev.bit_length() + 64:
+            q, r = divmod(value, prev)
+            if r == 0 and 1 <= q < 2**64:
+                prev, last = value, exact.multiply(last, q)
+                yield str(last)
+                continue
+        text = _int_text(value)
+        if not _str_renders(value.bit_length()):
+            import decimal
+
+            prev, last, exact = value, decimal.Decimal(text), _exact_context()
+        yield text
 
 
 def _text_int(text: str) -> int:

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from haltseries import (
     parse_series_spec,
     run_detector,
 )
+from haltseries import machine
 from haltseries.cli import main
 
 import corpus
@@ -161,6 +163,35 @@ def test_forward_budget_below_halt_step_is_all_zero(three_file, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert out.splitlines()[0] == "coefficients: all zero up to index 2"
+
+
+def test_forward_preview_converts_one_value_and_multiplies_the_rest(tmp_path, capsys,
+                                                                    monkeypatch):
+    # The doubler halts at step 4x + 2, so at x = 1200 the preview shows
+    # n! from n = 4802 on, every value past the 32768-bit cut to plain str.
+    program = tmp_path / "doubler.m"
+    program.write_text("loop: decjz 0 done\ninc 1\ninc 1\ndecjz 2 loop\ndone: halt\n")
+    convert, conversions = machine._int_text, []
+
+    def counted(value):
+        if value.bit_length() > 32768:
+            conversions.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(machine, "_int_text", counted)
+    halt = 4802
+    for budget, shown in ((halt + 20, 10), (halt, 1), (halt + 3, 4)):
+        conversions.clear()
+        argv = ["forward", str(program), "--input", "1200", "--r", "1", "--budget", str(budget)]
+        assert main(argv) == 0
+        head, preview = capsys.readouterr().out.splitlines()[0].split(": ", 1)
+        assert head == "coefficients (first nonzero)"
+        labels, texts = zip(*(item.split("=") for item in preview.split(" ")))
+        indices = range(halt, halt + shown)
+        assert labels == tuple(f"a_{n}" for n in indices)
+        with corpus.int_digit_limit(0):
+            assert texts == tuple(str(math.factorial(n)) for n in indices)
+        assert len(conversions) == 1, budget
 
 
 def test_forward_nonpositive_point_exits_one(three_file, capsys):
@@ -775,3 +806,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, halt_file):
         assert code == exit_code and "haltseries.series" in loaded, argv
         assert "haltseries.reductions" not in loaded, argv
     assert _modules_loaded("import haltseries\n") == (0, ["haltseries"])
+    # The from-import asks the package for the attribute before it imports the submodule.
+    assert _modules_loaded("from haltseries import cli\n") == (0, machine_only)
+    code, loaded = _modules_loaded("from haltseries import series\n")
+    assert code == 0 and "haltseries.series" in loaded
+    assert "haltseries.reductions" not in loaded

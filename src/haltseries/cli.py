@@ -147,12 +147,8 @@ def _cmd_probe(ns) -> int:
     if ns.kind == "root":
         result = root_estimate(stream, ns.n_max)
         print(f"limsup proxy: {result.limsup_proxy:.9e}")
-        radius = (
-            "inf" if result.implied_radius == float("inf") else f"{result.implied_radius:.9e}"
-        )
-        print(f"implied radius: {radius}")
-        shown = result.estimates[: min(20, len(result.estimates))]
-        for n, est in shown:
+        print(f"implied radius: {result.implied_radius:.9e}")  # infinity prints as "inf"
+        for n, est in result.estimates[:20]:
             print(f"  |a_{n}|^(1/{n}) ~ {est:.9e}")
         return EXIT_WITNESS
     if ns.kind == "ratio":
@@ -179,9 +175,9 @@ def _cmd_encode(ns) -> int:
         return _fail("encode requires a machine file or --decode CODE")
     program = _load_program(ns.machine_file)
     code = encode_godel(program)
-    print(_int_text(code))
     if decode_godel(code) != program:
         return _fail("round-trip check failed")  # pragma: no cover
+    print(_int_text(code))
     return EXIT_WITNESS
 
 
@@ -286,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         ]
         if missing:
             return _fail(f"probe --kind {ns.kind} requires {', '.join(missing)}")
+        if ns.kind == "root" and ns.kv:
+            return _fail("probe --kind root does not take --kv")
     try:
         return ns.func(ns)
     except (ValueError, OSError) as exc:

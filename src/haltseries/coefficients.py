@@ -69,10 +69,6 @@ class TermShape:
     num: tuple[int, int] = (0, 1)
     den: tuple[int, int] = (0, 1)
 
-    def ratio(self, n: int) -> Fraction:
-        """The exact ``a_{n+1} / a_n`` for ``n >= start``."""
-        return Fraction(self.num[0] * n + self.num[1], self.den[0] * n + self.den[1])
-
 
 _FACTORIAL_RATIO = ((1, 1), (0, 1))
 
@@ -277,11 +273,7 @@ def format_rational(value: Fraction) -> str:
 def approx_decimal(value: Fraction) -> str:
     """Deterministic decimal approximation to 12 places (round half to even)."""
     scale = 10 ** _APPROX_DIGITS
-    num = value.numerator * scale
-    den = value.denominator
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
+    q = round(value * scale)  # Fraction.__round__ rounds half to even
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), scale)
     return f"{sign}{_int_text(whole)}.{frac:0{_APPROX_DIGITS}d}"

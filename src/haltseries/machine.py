@@ -247,10 +247,7 @@ class HaltedAt:
     """The program halted; ``steps`` is the exact step count at halt."""
 
     steps: int
-
-    @property
-    def halted(self) -> bool:
-        return True
+    halted = True  # unannotated, so a class constant and not a field
 
 
 @dataclass(frozen=True)
@@ -258,10 +255,7 @@ class RunningAfter:
     """The program was still running when the step budget ran out."""
 
     budget: int
-
-    @property
-    def halted(self) -> bool:
-        return False
+    halted = False
 
 
 ExecutionOutcome = Union[HaltedAt, RunningAfter]
@@ -272,6 +266,15 @@ ExecutionOutcome = Union[HaltedAt, RunningAfter]
 # ---------------------------------------------------------------------------
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# Each instruction's operand count, and the message for any other count.
+_SYNTAX = {"halt": (0, "halt takes no operands"), "inc": (1, "expected: inc R"),
+           "decjz": (2, "expected: decjz R TARGET")}
+
+
+def _inferred_registers(instructions: Iterable[Instruction]) -> int:
+    """One past the highest register the instructions use, at least 1."""
+    return max((i.register + 1 for i in instructions if not isinstance(i, Halt)), default=1)
 
 
 def parse_program(text: str) -> MachineProgram:
@@ -286,7 +289,7 @@ def parse_program(text: str) -> MachineProgram:
     a minimum of 1.
     """
     declared_registers: int | None = None
-    parsed: list[tuple[int, str, tuple]] = []  # (line_no, kind, args)
+    parsed: list[tuple[int, int | None, list[str]]] = []  # (line_no, register, targets)
     labels: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -321,34 +324,22 @@ def parse_program(text: str) -> MachineProgram:
                 )
 
         op = tokens[0].lower()
-        if op == "halt":
-            if len(tokens) != 1:
-                raise MachineParseError("halt takes no operands", line_no)
-            parsed.append((line_no, "halt", ()))
-        elif op == "inc":
-            if len(tokens) != 2:
-                raise MachineParseError("expected: inc R", line_no)
-            reg = _parse_nat(tokens[1], "register index", line_no)
-            parsed.append((line_no, "inc", (reg,)))
-        elif op == "decjz":
-            if len(tokens) != 3:
-                raise MachineParseError("expected: decjz R TARGET", line_no)
-            reg = _parse_nat(tokens[1], "register index", line_no)
-            parsed.append((line_no, "decjz", (reg, tokens[2])))
-        else:
+        if op not in _SYNTAX:
             raise MachineParseError(f"unknown instruction {op!r}", line_no)
+        operands, usage = _SYNTAX[op]
+        if len(tokens) != operands + 1:
+            raise MachineParseError(usage, line_no)
+        reg = _parse_nat(tokens[1], "register index", line_no) if operands else None
+        parsed.append((line_no, reg, tokens[2:]))
 
     if not parsed:
         raise MachineParseError("program contains no instructions", max(1, text.count("\n") + 1))
 
-    n = len(parsed)
-    max_register = -1
     instructions: list[Instruction] = []
-    for line_no, kind, args in parsed:
-        if kind == "halt":
+    for line_no, reg, targets in parsed:
+        if reg is None:
             instructions.append(Halt())
             continue
-        reg = args[0]
         if reg > MAX_REGISTERS - 1:
             raise MachineParseError(f"register index {reg} out of range", line_no)
         if declared_registers is not None and reg >= declared_registers:
@@ -356,25 +347,21 @@ def parse_program(text: str) -> MachineProgram:
                 f"register index {reg} out of range (declared {declared_registers})",
                 line_no,
             )
-        max_register = max(max_register, reg)
-        if kind == "inc":
+        if not targets:
             instructions.append(Inc(reg))
             continue
-        target_text = args[1]
+        (target_text,) = targets
         if target_text.isdecimal():
             target = _parse_nat(target_text, "jump target", line_no)
         elif target_text in labels:
             target = labels[target_text]
         else:
             raise MachineParseError(f"unknown jump target {target_text!r}", line_no)
-        if target >= n:
+        if target >= len(parsed):
             raise MachineParseError(f"jump target {target} out of range", line_no)
         instructions.append(DecJz(reg, target))
 
-    register_count = declared_registers
-    if register_count is None:
-        register_count = max(max_register + 1, 1)
-    return MachineProgram(tuple(instructions), register_count)
+    return MachineProgram(instructions, declared_registers or _inferred_registers(instructions))
 
 
 def _parse_nat(token: str, what: str, line_no: int) -> int:
@@ -390,12 +377,8 @@ def pretty_program(program: MachineProgram) -> str:
     targets = {
         ins.target for ins in program.instructions if isinstance(ins, DecJz)
     }
-    inferred = max(
-        (ins.register for ins in program.instructions if isinstance(ins, (Inc, DecJz))),
-        default=-1,
-    ) + 1
     lines: list[str] = []
-    if program.register_count != max(inferred, 1):
+    if program.register_count != _inferred_registers(program.instructions):
         lines.append(f"registers {_int_text(program.register_count)}")
     for i, ins in enumerate(program.instructions):
         prefix = f"L{_int_text(i)}: " if i in targets else ""
@@ -511,11 +494,8 @@ class MachineRun:
     __slots__ = ("program", "registers", "pc", "steps", "halt_step", "_quiet")
 
     def __init__(self, program: MachineProgram, input_value: int):
-        if input_value < 0:
-            raise ValueError("input must be a natural number")
         self.program = program
-        self.registers = [0] * program.register_count
-        self.registers[0] = input_value
+        self.registers = list(initial_state(program, input_value).registers)
         self.pc = 0
         self.steps = 0
         self.halt_step: int | None = None

@@ -4,8 +4,9 @@ Forward direction: package a machine run as its halting-encoded
 coefficient stream, then read halting off a budgeted ratio probe. A
 divergence witness is a proof that the run halted within the budget
 (nonzero coefficients exist only after the halt step), so this
-semidecision never lies; the converse silence only means "not halted
-within budget".
+semidecision never lies. Silence means "not halted within budget" only
+at budgets of at least ceil(2/r) - 1, where the scaled ratio (n + 1) * r
+can reach 2.
 
 Reverse direction: detectors that run over a coefficient stream and halt
 when they believe the series diverges at z = 1. Two constructions are
@@ -96,8 +97,12 @@ def semidecide_halting_via_series(
 
     A divergence witness proves the program halted within ``budget``
     steps: the witness index carries two adjacent nonzero coefficients,
-    which exist only past the halt step. Consistency up to budget means
-    exactly "not halted within budget steps".
+    which exist only past the halt step. Their ratio there is ``n + 1``, so
+    a run that halts at step ``h`` is witnessed exactly when ``h <= budget``
+    and ``(budget + 1) * r >= 2``, that is ``budget >= ceil(2/r) - 1``, at
+    index ``max(h, ceil(2/r) - 1)``. Consistency up to budget means "not
+    halted within budget steps" only at such budgets; below them a run
+    that has halted reads as consistent too.
     """
     if point.r <= 0:
         raise ValueError("evaluation point must be positive for the semidecision")
@@ -264,10 +269,7 @@ class Halted:
 
     iteration: int
     certificate: Union[ThresholdCertificate, CauchyWindowCertificate]
-
-    @property
-    def halted(self) -> bool:
-        return True
+    halted = True  # unannotated, so a class constant and not a field
 
     def to_text(self) -> str:
         lines = [f"verdict: HALTED at iteration {format_rational(self.iteration)}"]
@@ -293,10 +295,7 @@ class StillRunning:
     trace: tuple[tuple[int, Fraction], ...] = ()
     final_bounds: tuple[Fraction, Fraction] | None = None
     witness_log: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def halted(self) -> bool:
-        return False
+    halted = False
 
     def to_text(self) -> str:
         lines = [f"verdict: STILL_RUNNING after {format_rational(self.budget)} iterations"]

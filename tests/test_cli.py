@@ -656,6 +656,13 @@ def test_probe_requires_kind_specific_flags(tmp_path, capsys):
     assert "--radius" in err and "--k-max" in err
 
 
+def test_probe_root_rejects_kv(tmp_path, capsys):
+    # root prints float estimates, not a report, so it has no key=value form
+    spec = series_file(tmp_path, "builtin one")
+    assert main(["probe", spec, "--kind", "root", "--n-max", "5", "--kv"]) == 1
+    assert capsys.readouterr() == ("", "error: probe --kind root does not take --kv\n")
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
@@ -686,6 +693,13 @@ def test_encode_prints_and_decodes_a_code_over_4300_digits(tmp_path, capsys):
             assert capsys.readouterr().out == expected + "\n"
             assert main(["encode", "--decode", expected]) == 0
             assert parse_program(capsys.readouterr().out) == program
+
+
+def test_encode_prints_no_code_past_the_decoder_limit(tmp_path, capsys):
+    path = tmp_path / "long.machine"
+    path.write_text("inc 0\n" * 4100)
+    assert main(["encode", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: instruction count 4100 exceeds decoder limit 4096\n")
 
 
 def test_encode_invalid_code_exits_one(capsys):

@@ -158,13 +158,15 @@ def test_concurrent_reads_are_consistent():
 
 
 def assert_shape_matches_terms(stream, upto):
-    """Zero before the shape's start, nonzero from it on, a_{n+1} = a_n * ratio(n)."""
+    """Zero before the shape's start, nonzero from it on, and
+    a_{n+1} = a_n * (num[0]*n + num[1]) / (den[0]*n + den[1])."""
     shape = stream.term_shape(upto)
+    (p1, p0), (q1, q0) = shape.num, shape.den
     assert all(stream.at(n) == 0 for n in range(min(shape.start, upto + 1)))
     for n in range(shape.start, upto + 1):
         assert stream.at(n) != 0
         if n < upto:
-            assert stream.at(n + 1) == stream.at(n) * shape.ratio(n)
+            assert stream.at(n + 1) == stream.at(n) * Fraction(p1 * n + p0, q1 * n + q0)
 
 
 @given(corpus.builtin_streams(), st.integers(0, 60))

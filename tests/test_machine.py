@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import haltseries
 
@@ -29,7 +29,9 @@ from haltseries import (
     run_bounded,
     step,
 )
-from haltseries.machine import _OP_DECJZ, _OP_INC, MachineRun
+from haltseries.machine import (
+    _LABEL_RE, _OP_DECJZ, _OP_INC, MAX_REGISTERS, MachineRun, _parse_nat,
+)
 
 import corpus
 
@@ -122,9 +124,148 @@ def test_registers_directive_widens_count():
     assert program.register_count == 5
 
 
-def test_pretty_then_parse_is_identity_on_corpus():
+@given(corpus.programs(), st.integers(0, 3))
+@settings(deadline=None)
+def test_pretty_then_parse_is_identity_on_corpus(program, extra):
+    # ``extra`` declares registers past the inferred count, so the text must say so.
+    program = MachineProgram(program.instructions, program.register_count + extra)
+    assert parse_program(pretty_program(program)) == program
     for program in corpus.all_programs():
         assert parse_program(pretty_program(program)) == program
+
+
+def _reference_parse_program(text: str) -> MachineProgram:
+    """The source parser as written with one branch per instruction and a
+    kind-tagged second pass; ``parse_program`` must agree with it exactly."""
+    declared_registers: int | None = None
+    parsed: list[tuple[int, str, tuple]] = []  # (line_no, kind, args)
+    labels: dict[str, int] = {}
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+
+        if tokens[0].lower() == "registers":
+            if len(tokens) != 2:
+                raise MachineParseError("expected: registers N", line_no)
+            if declared_registers is not None:
+                raise MachineParseError("duplicate registers directive", line_no)
+            declared_registers = _parse_nat(tokens[1], "register count", line_no)
+            if not 1 <= declared_registers <= MAX_REGISTERS:
+                raise MachineParseError(
+                    f"register count must be in 1..{MAX_REGISTERS}", line_no
+                )
+            continue
+
+        if tokens[0].endswith(":"):
+            label = tokens[0][:-1]
+            if not _LABEL_RE.match(label):
+                raise MachineParseError(f"invalid label {label!r}", line_no)
+            if label in labels:
+                raise MachineParseError(f"duplicate label {label!r}", line_no)
+            labels[label] = len(parsed)
+            tokens = tokens[1:]
+            if not tokens:
+                raise MachineParseError(
+                    "label must prefix an instruction on the same line", line_no
+                )
+
+        op = tokens[0].lower()
+        if op == "halt":
+            if len(tokens) != 1:
+                raise MachineParseError("halt takes no operands", line_no)
+            parsed.append((line_no, "halt", ()))
+        elif op == "inc":
+            if len(tokens) != 2:
+                raise MachineParseError("expected: inc R", line_no)
+            reg = _parse_nat(tokens[1], "register index", line_no)
+            parsed.append((line_no, "inc", (reg,)))
+        elif op == "decjz":
+            if len(tokens) != 3:
+                raise MachineParseError("expected: decjz R TARGET", line_no)
+            reg = _parse_nat(tokens[1], "register index", line_no)
+            parsed.append((line_no, "decjz", (reg, tokens[2])))
+        else:
+            raise MachineParseError(f"unknown instruction {op!r}", line_no)
+
+    if not parsed:
+        raise MachineParseError("program contains no instructions", max(1, text.count("\n") + 1))
+
+    n = len(parsed)
+    max_register = -1
+    instructions: list = []
+    for line_no, kind, args in parsed:
+        if kind == "halt":
+            instructions.append(Halt())
+            continue
+        reg = args[0]
+        if reg > MAX_REGISTERS - 1:
+            raise MachineParseError(f"register index {reg} out of range", line_no)
+        if declared_registers is not None and reg >= declared_registers:
+            raise MachineParseError(
+                f"register index {reg} out of range (declared {declared_registers})",
+                line_no,
+            )
+        max_register = max(max_register, reg)
+        if kind == "inc":
+            instructions.append(Inc(reg))
+            continue
+        target_text = args[1]
+        if target_text.isdecimal():
+            target = _parse_nat(target_text, "jump target", line_no)
+        elif target_text in labels:
+            target = labels[target_text]
+        else:
+            raise MachineParseError(f"unknown jump target {target_text!r}", line_no)
+        if target >= n:
+            raise MachineParseError(f"jump target {target} out of range", line_no)
+        instructions.append(DecJz(reg, target))
+
+    register_count = declared_registers
+    if register_count is None:
+        register_count = max(max_register + 1, 1)
+    return MachineProgram(tuple(instructions), register_count)
+
+
+def _parse_outcome(parse, source):
+    """The program and its pretty text, or the error's type, message and line."""
+    try:
+        program = parse(source)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return program, pretty_program(program)
+
+
+_NUMBERS = ["0", "1", "2", "3", "007", "4095", "4096", "5000", "9" * 601, "0" * 700 + "2", "²", "x"]
+_SOUP = ["inc", "decjz", "halt", "HALT", "Inc", "registers", "nop", "a:", "b:", "9x:", ":",
+         "a", "b", "#", "#c", *_NUMBERS]
+_NUMBER = st.sampled_from(_NUMBERS)
+_INSTRUCTION = st.one_of(
+    st.just("halt"),
+    _NUMBER.map("inc {}".format),
+    st.tuples(_NUMBER, st.sampled_from(["0", "1", "5", "a", "b", "c", "7" * 601, "²"])).map(
+        lambda rt: "decjz {} {}".format(*rt)
+    ),
+)
+_SOURCE_LINE = st.one_of(
+    st.tuples(st.sampled_from(["", "", "a: ", "b: ", "9x: "]), _INSTRUCTION).map("".join),
+    st.sampled_from(["1", "2", "4", "4096", "0", "5000"]).map("registers {}".format),
+    st.lists(st.sampled_from(_SOUP), max_size=4).map(" ".join),
+    st.just("# comment"),
+)
+
+
+@given(st.lists(_SOURCE_LINE, max_size=7).map("\n".join))
+@settings(deadline=None, max_examples=500)
+@example("registers 2\ninc 5000")  # the register cap is checked before the declared count
+@example("inc 5000\nregisters 2\nfoo")  # any line's syntax error comes before range checks
+@example("decjz 0 a\nregisters 1\na: halt")  # a label and the directive may follow their use
+@example("decjz 0 0 0\nhalt 1")
+def test_parse_program_agrees_with_the_reference_parser(source):
+    expected = _parse_outcome(_reference_parse_program, source)
+    assert _parse_outcome(parse_program, source) == expected
 
 
 def test_pretty_preserves_declared_registers():

@@ -1,9 +1,10 @@
+import math
 import os
 import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from haltseries import (
     DetectorProgram,
     EvaluationPoint,
     ExplicitStream,
+    HaltedAt,
+    RunningAfter,
     StillRunning,
     ThresholdCertificate,
     WindowFailure,
@@ -169,6 +172,58 @@ def test_semidecide_small_point_only_delays_the_witness():
     assert isinstance(report.verdict, WitnessedDivergence)
     # ratios are (n+1)/1000, first persistent crossing of 2 at n = 1999
     assert report.verdict.index == 1999
+
+
+DOUBLER = parse_program("loop: decjz 0 done\ninc 1\ninc 1\ndecjz 2 loop\ndone: halt")
+
+
+@given(
+    st.one_of(
+        st.integers(0, 40).map(lambda x: (DOUBLER, x)),  # halts at step 4x + 2
+        st.tuples(corpus.programs(), st.integers(0, 5)),
+    ),
+    st.fractions(min_value=Fraction(1, 200), max_value=3, max_denominator=200),
+    st.integers(1, 400),
+)
+@settings(deadline=None)
+@example((DOUBLER, 1), Fraction(1, 1000), 100)  # halted at step 6, yet no witness
+def test_semidecision_witnesses_exactly_when_halted_and_budget_reaches_2_over_r(case, r, budget):
+    # a_{n+1} / a_n = n + 1 from the halt step h on, so (n + 1) * r first
+    # reaches 2 at n = ceil(2/r) - 1, and the witness sits at the later of the two.
+    program, input_value = case
+    outcome = run_bounded(program, input_value, budget)
+    report = semidecide_halting_via_series(program, input_value, EvaluationPoint(r), budget)
+    first = math.ceil(2 / r) - 1
+    if outcome.halted and budget >= first:
+        index = max(outcome.steps, first)
+        assert report.witness == (index, (index + 1) * r)
+        assert report.verdict.index == index
+    else:
+        assert report.witness is None
+        assert report.verdict == ConsistentUpToBudget(budget)
+
+
+@pytest.mark.parametrize(
+    "outcome, halted, text",
+    [
+        (HaltedAt(3), True, "HaltedAt(steps=3)"),
+        (RunningAfter(5), False, "RunningAfter(budget=5)"),
+        (
+            DetectorHalted(1, ThresholdCertificate(1, Fraction(2))),
+            True,
+            "Halted(iteration=1, certificate=ThresholdCertificate(index=1,"
+            " partial_sum=Fraction(2, 1)))",
+        ),
+        (StillRunning(7), False, "StillRunning(budget=7, trace=(), final_bounds=None,"
+                                 " witness_log=())"),
+    ],
+)
+def test_halted_is_a_class_constant_outside_the_fields(outcome, halted, text):
+    assert outcome.halted is halted and type(outcome).halted is halted
+    assert "halted" not in {f.name for f in fields(outcome)}
+    assert repr(outcome) == text
+    again = replace(outcome)
+    assert again == outcome and again.halted is halted
 
 
 def test_semidecide_validates_inputs():

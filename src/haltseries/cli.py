@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("threshold", "cauchy", "cauchy-heuristic"), required=True
     )
     p.add_argument("--budget", type=_positive, required=True)
-    p.add_argument("--horizon-scale", type=_positive, default=None)
-    p.add_argument("--window-cap", default=None)
-    p.add_argument("--tolerance", default=None)
+    p.add_argument("--horizon-scale", type=_positive)
+    p.add_argument("--window-cap")
+    p.add_argument("--tolerance")
     p.add_argument("--show-program", action="store_true")
     p.add_argument("--kv", action="store_true")
     p.set_defaults(func=_cmd_detect)
@@ -222,16 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="budgeted convergence probes")
     p.add_argument("series_file")
     p.add_argument("--kind", choices=("ratio", "root", "effective", "modulus"), required=True)
-    p.add_argument("--r", default="1")
-    p.add_argument("--threshold", default="2")
-    p.add_argument("--budget", type=_positive, default=None)
-    p.add_argument("--n-max", type=_positive, default=None)
-    p.add_argument("--rate", default=None)
-    p.add_argument("--radius", default=None)
-    p.add_argument("--k-max", type=_nat, default=None)
-    p.add_argument("--n-budget", type=_positive, default=None)
-    p.add_argument("--limit", default=None)
-    p.add_argument("--kv", action="store_true")
+    p.add_argument("--r")
+    p.add_argument("--threshold")
+    p.add_argument("--budget", type=_positive)
+    p.add_argument("--n-max", type=_positive)
+    p.add_argument("--rate")
+    p.add_argument("--radius")
+    p.add_argument("--k-max", type=_nat)
+    p.add_argument("--n-budget", type=_positive)
+    p.add_argument("--limit")
+    p.add_argument("--kv", action="store_true", default=None)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("encode", help="program-to-number round-trip utility")
@@ -263,27 +263,53 @@ def _positive(text: str) -> int:
     return value
 
 
-_PROBE_REQUIRED = {
-    "ratio": ("budget",),
-    "root": ("n_max",),
-    "effective": ("rate", "radius", "k_max", "n_budget"),
-    "modulus": ("rate", "limit", "n_max"),
+# The flags that each kind of a command reads, each with the value it takes
+# when not given: ``...`` marks a required flag, and ``None`` a knob whose
+# default the library owns. A kind rejects every other flag in its command's table.
+_KIND_FLAGS = {
+    "detect": {
+        "threshold": {},
+        "cauchy": {},
+        "cauchy-heuristic": {"horizon_scale": None, "window_cap": None, "tolerance": None},
+    },
+    "probe": {
+        "ratio": {"r": "1", "threshold": "2", "budget": ..., "kv": False},
+        "root": {"n_max": ...},
+        "effective": {"rate": ..., "radius": ..., "k_max": ..., "n_budget": ..., "kv": False},
+        "modulus": {"r": "1", "rate": ..., "limit": ..., "n_max": ..., "kv": False},
+    },
 }
+
+
+def _apply_kind_flags(ns) -> str | None:
+    """Give the unset flags that ``ns``'s kind reads their values; return the usage error, if any."""
+    kinds = _KIND_FLAGS.get(ns.command)
+    if kinds is None:
+        return None
+    reads, where = kinds[ns.kind], f"{ns.command} --kind {ns.kind}"
+    missing = [_flag(name) for name, default in reads.items()
+               if default is ... and getattr(ns, name) is None]
+    if missing:
+        return f"{where} requires {', '.join(missing)}"
+    for name in (name for flags in kinds.values() for name in flags if name not in reads):
+        if getattr(ns, name) is not None:
+            return f"{where} does not take {_flag(name)}"
+    for name, default in reads.items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, default)
+    return None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "probe":
-        missing = [
-            f"--{name.replace('_', '-')}"
-            for name in _PROBE_REQUIRED[ns.kind]
-            if getattr(ns, name) is None
-        ]
-        if missing:
-            return _fail(f"probe --kind {ns.kind} requires {', '.join(missing)}")
-        if ns.kind == "root" and ns.kv:
-            return _fail("probe --kind root does not take --kv")
+    wrong = _apply_kind_flags(ns)
+    if wrong:
+        return _fail(wrong)
     try:
         return ns.func(ns)
     except (ValueError, OSError) as exc:

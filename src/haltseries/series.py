@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,6 +201,18 @@ def parse_rate_spec(text: str) -> RateFunction:
             rows.append((_text_int(cols[0]), parse_rational(cols[1]), _text_int(cols[2])))
         return TabulatedRate(tuple(rows))
     raise ValueError(f"unknown rate kind {parts[0]!r}")
+
+
+def _promised_terms(rate: RateFunction, m: int, r: Fraction) -> int:
+    """``rate.terms_for(m, r)``, which must be an integer of at least 0."""
+    terms = rate.terms_for(m, r)
+    try:
+        terms = operator.index(terms)
+    except TypeError:
+        raise RateUndefinedError(m, r, "promised a number of terms that is not an integer") from None
+    if terms < 0:
+        raise RateUndefinedError(m, r, "promised a negative number of terms")
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +431,7 @@ def effective_partial_sum(
     """
     if m < 0:
         raise ValueError("precision exponent must be non-negative")
-    upto = rate.terms_for(m, point.r)
+    upto = _promised_terms(rate, m, point.r)
     return partial_sum(stream, point, upto), upto
 
 
@@ -577,7 +590,7 @@ def check_effective_criterion(
     for k in range(k_max + 1):
         bound = inv_radius + Fraction(1, 2 ** k)
         bound_f = float(min(bound, 1e308))
-        start = max(m_rate.terms_for(k), 1)
+        start = max(_promised_terms(m_rate, k, _ZERO), 1)
         bound_power = bound ** start if start <= n_budget else None
         for n in range(start, n_budget + 1):
             # Screen generously in floats, then confirm exactly.
@@ -617,40 +630,53 @@ def check_modulus(
     For each precision exponent n up to ``n_max`` the partial sum is
     evaluated at the promised index ``e(n)`` and at fixed sample offsets
     beyond it, checking ``|S_k - limit| < 2^-n`` exactly. The first
-    failure is returned with its exact certificate.
+    failure in (n, offset) order is returned with its exact certificate.
+    One pass over the sampled indices, in increasing order, meets every
+    check; it holds O(n_max) integers besides the sums.
     """
     claimed_limit = Fraction(claimed_limit)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    promised = [rate.terms_for(n, point.r) for n in range(n_max + 1)]
-    checks: dict[int, list[tuple[int, int]]] = {}  # index -> its (n, offset position)s
-    for n, k0 in enumerate(promised):
-        for position, offset in enumerate(MODULUS_SAMPLE_OFFSETS):
-            checks.setdefault(k0 + offset, []).append((n, position))
-    traced = set(_trace_indices(max(checks)))
+    promised = [_promised_terms(rate, n, point.r) for n in range(n_max + 1)]
+    # One cursor per offset walks the exponents in order of promised index
+    # (a stable sort: ties keep exponent order), meeting each check at its index.
+    order = sorted(range(n_max + 1), key=promised.__getitem__)
+    keys = [promised[n] for n in order]
+    last = keys[-1] + MODULUS_SAMPLE_OFFSETS[-1]
+    keys.append(-1 - MODULUS_SAMPLE_OFFSETS[-1])  # below every index: it stops each cursor
+    cursors = [0] * len(MODULUS_SAMPLE_OFFSETS)
+    traced = set(_trace_indices(last))
+    indices = sorted(traced.union(k0 + d for k0 in promised for d in MODULUS_SAMPLE_OFFSETS))
     limit_num, limit_den = claimed_limit.numerator, claimed_limit.denominator
     trace = []
-    failure = None  # (n, position, k, S_k) of the first failure in (n, position) order
-    for k, num, den in _sampled_sums(stream, point, sorted(checks.keys() | traced)):
+    best, failure = n_max + 1, None  # the exponent, then (k, S_k), of the first failure
+    for k, num, den in _sampled_sums(stream, point, indices):
         if k in traced:
             trace.append((k, Fraction(num, den)))
         gap, scale = abs(num * limit_den - limit_num * den), den * limit_den
-        for n, position in checks.get(k, ()):
-            if failure is not None and (n, position) > failure[:2]:
-                break
-            if gap << n >= scale:  # |S_k - limit| >= 2^-n, as den > 0
-                failure = (n, position, k, Fraction(num, den))
-                break
+        # The least n with gap << n >= scale, that is |S_k - limit| >= 2^-n as den > 0.
+        fails_from = max(scale.bit_length() - gap.bit_length(), 0) if gap else best
+        if gap and gap << fails_from < scale:
+            fails_from += 1
+        for position, offset in enumerate(MODULUS_SAMPLE_OFFSETS):
+            i = cursors[position]
+            while keys[i] + offset == k:
+                n, i = order[i], i + 1
+                # An exponent meets its offsets in index order, so the least failing
+                # exponent, where it first fails, is first in (n, offset) order.
+                if fails_from <= n < best:
+                    best, failure = n, (k, Fraction(num, den))
+            cursors[position] = i
     if failure is None:
         verdict, witness = ConsistentUpToBudget(n_max), None
     else:
-        n, _, k, value = failure
+        k, value = failure
         detail = {
-            "precision_exponent": n,
+            "precision_exponent": best,
             "terms": k,
             "partial_sum": value,
             "distance": abs(value - claimed_limit),
-            "tolerance": Fraction(1, 2 ** n),
+            "tolerance": Fraction(1, 2 ** best),
         }
         verdict, witness = WitnessedBoundViolation(detail), (k, value)
     return SeriesProbeReport(

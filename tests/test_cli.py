@@ -663,6 +663,55 @@ def test_probe_root_rejects_kv(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: probe --kind root does not take --kv\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probe", "S", "--kind", "modulus", "--limit", "1", "--rate", "constant:1", "--n-max", "2",
+          "--threshold", "7", "--budget", "9"], "probe --kind modulus does not take --threshold"),
+        (["probe", "S", "--kind", "modulus", "--limit", "1", "--rate", "constant:1", "--n-max", "2",
+          "--budget", "9"], "probe --kind modulus does not take --budget"),
+        (["probe", "S", "--kind", "effective", "--rate", "constant:1", "--radius", "1",
+          "--k-max", "1", "--n-budget", "3", "--r", "1/2"], "probe --kind effective does not take --r"),
+        (["probe", "S", "--kind", "ratio", "--budget", "3", "--limit", "0"],
+         "probe --kind ratio does not take --limit"),
+        (["probe", "S", "--kind", "root", "--n-max", "3", "--threshold", "2"],
+         "probe --kind root does not take --threshold"),
+        (["detect", "S", "--kind", "threshold", "--budget", "3", "--tolerance", "1",
+          "--horizon-scale", "5"], "detect --kind threshold does not take --horizon-scale"),
+        (["detect", "S", "--kind", "threshold", "--budget", "3", "--tolerance", "1"],
+         "detect --kind threshold does not take --tolerance"),
+        (["detect", "S", "--kind", "cauchy", "--budget", "3", "--window-cap", "1/3"],
+         "detect --kind cauchy does not take --window-cap"),
+    ],
+)
+def test_a_flag_the_kind_does_not_read_exits_one(tmp_path, capsys, argv, message):
+    argv = [series_file(tmp_path, "builtin one") if a == "S" else a for a in argv]
+    assert _run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_a_missing_flag_is_named_before_a_flag_the_kind_does_not_read(tmp_path, capsys):
+    spec = series_file(tmp_path, "builtin one")
+    argv = ["probe", spec, "--kind", "modulus", "--rate", "constant:1", "--threshold", "2"]
+    assert _run(argv, capsys) == (1, "", "error: probe --kind modulus requires --limit, --n-max\n")
+
+
+@pytest.mark.parametrize(
+    "argv, defaults, other",
+    [
+        (["probe", "S", "--kind", "ratio", "--budget", "30"], ["--r", "1", "--threshold", "2"],
+         ["--r", "4", "--threshold", "2"]),
+        (["probe", "S", "--kind", "modulus", "--limit", "2", "--rate", "linear:1:1", "--n-max", "6"],
+         ["--r", "1"], ["--r", "1/2"]),
+    ],
+)
+def test_a_kind_default_applies_only_to_a_flag_left_unset(tmp_path, capsys, argv, defaults, other):
+    argv = [series_file(tmp_path, "builtin geometric 1/2") if a == "S" else a for a in argv]
+    unset = _run(argv, capsys)
+    assert unset[0] in (0, 2)
+    assert _run([*argv, *defaults], capsys) == unset
+    assert _run([*argv, *other], capsys) != unset
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -638,6 +639,9 @@ rates = st.one_of(
         max_size=4,
     ).map(lambda rows: TabulatedRate(tuple(rows))),
     st.lists(st.integers(0, 40), min_size=1, max_size=6).map(Zigzag),
+    # Promised indices a sample offset apart, so that checks of several
+    # exponents and offsets share one index (1 + 16 = 17 + 0, 16 + 16 = 32 + 0, ...).
+    st.lists(st.sampled_from((0, 1, 2, 3, 4, 8, 16, 17, 32, 33)), min_size=1, max_size=12).map(Zigzag),
 )
 
 
@@ -646,7 +650,7 @@ rates = st.one_of(
     st.fractions(0, 3, max_denominator=9),
     st.fractions(-3, 3, max_denominator=16),
     rates,
-    st.integers(0, 30),
+    st.integers(0, 120),
 )
 @settings(deadline=None)
 def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max):
@@ -666,6 +670,13 @@ def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max
         # k = 0 fails first in index order (n = 3), but n = 2 fails at k = 10
         (builtin_stream("geometric", Fraction(1, 2)), Fraction(9, 4), Zigzag((10, 10, 10, 0)), 5,
          (2, 10)),
+        # |S_4 - 7/5| = 43/80 >= 1/2: n = 2 fails at k = 4, its first offset, and
+        # n = 1 at k = 4, its fourth; the smaller exponent wins
+        (builtin_stream("geometric", Fraction(1, 2)), Fraction(7, 5), Zigzag((0, 0, 4)), 2, (1, 4)),
+        # n = 1 fails at k = 0, its first offset, and again at k = 1, where S_1 lies
+        # further out; the first offset it fails at holds
+        (ExplicitStream((Fraction(3, 5), Fraction(3, 5), Fraction(-11, 10)), Fraction(0)),
+         Fraction(0), Zigzag((2, 0)), 1, (1, 0)),
         (ExplicitStream((Fraction(1), Fraction(-1, 2)), Fraction(0)), Fraction(1, 2),
          Zigzag((4, 1, 2)), 9, None),
         (builtin_stream("zero"), Fraction(0), LinearRate(0, 0), 12, None),
@@ -692,6 +703,34 @@ def test_check_modulus_on_a_shaped_stream_reads_one_coefficient():
     report = check_modulus(stream, UNIT, Fraction(3), LinearRate(2, 4), 2000)
     assert stream.reads <= 1
     assert isinstance(report.verdict, ConsistentUpToBudget)
+
+
+def test_check_modulus_holds_no_table_of_its_checks():
+    # 7 * 3001 checks over about 6,000 indices: a table of them took 2.65 MB
+    stream = builtin_stream("geometric", Fraction(2, 3))
+    tracemalloc.start()
+    try:
+        report = check_modulus(stream, UNIT, Fraction(3), LinearRate(2, 4), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(report.verdict, ConsistentUpToBudget)
+    assert peak < 1_500_000
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [builtin_stream("one"), builtin_stream("geometric", Fraction(1, 2)),
+     ExplicitStream((Fraction(1), Fraction(1, 2)), Fraction(0))],
+)
+@pytest.mark.parametrize("terms, why", [(-5, "negative"), (Fraction(5, 2), "not an integer")])
+def test_a_promised_index_must_be_a_natural_number(stream, terms, why):
+    rate = Zigzag((3, terms))  # m = 0 keeps its promise, m = 1 breaks it
+    for call, r in ((lambda: effective_partial_sum(stream, UNIT, 1, rate), 1),
+                    (lambda: check_modulus(stream, UNIT, Fraction(2), rate, 4), 1),
+                    (lambda: check_effective_criterion(stream, rate, Fraction(1), 1, 10), 0)):
+        with pytest.raises(RateUndefinedError, match=f"^rate undefined at m=1, r={r}: .*{why}"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,14 @@ def _cmd_forward(ns) -> int:
         shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
         # The coefficients are the integers n!, each a small multiple of the
         # one before, so one pass renders them all from a single conversion.
+        # Each text is written as it comes, so only one is held at a time.
         texts = _int_texts(coeffs.at(n).numerator for n in shown)
-        preview = (f"a_{format_rational(n)}={text}" for n, text in zip(shown, texts))
-        print("coefficients (first nonzero): " + " ".join(preview))
+        out = sys.stdout
+        out.write("coefficients (first nonzero):")
+        for n, text in zip(shown, texts):
+            out.write(f" a_{format_rational(n)}=")
+            out.write(text)
+        out.write("\n")
     else:
         print(f"coefficients: all zero up to index {format_rational(ns.budget)}")
     return _print_report(report, ns.kv, report.witness is not None)

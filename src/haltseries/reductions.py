@@ -45,6 +45,7 @@ from .series import (
     EvaluationPoint,
     SeriesProbeReport,
     TRACE_POINTS,
+    _reduced,
     _sampled_sums,
     exact_line,
     partial_sum,
@@ -409,7 +410,7 @@ def _run_threshold(
         threshold = n << _SHIFT
         if hi > threshold or lo < -threshold:
             ((_, num, den),) = _sampled_sums(stream, _POINT_ONE, [n], checked + 1)
-            checkpoint, checked = checkpoint + Fraction(num, den), n
+            checkpoint, checked = checkpoint + _reduced(num, den), n
             if abs(checkpoint) > n:
                 return Halted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
             lo, hi = _scaled_bounds(checkpoint)

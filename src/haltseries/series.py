@@ -8,10 +8,10 @@ produce a finite, independently re-checkable witness (of divergence or of
 a violated bound) or report that everything stayed consistent up to the
 given budget. Nothing in this module ever claims convergence outright.
 
-Rate functions, which promise how many terms reach a target accuracy, are
-first-class values supplied by the caller. They are trusted by
-:func:`effective_partial_sum` (whose guarantee is only as honest as the
-rate) and can be falsified, never verified, by :func:`check_modulus`.
+Rate functions, which promise the index through which partial sums reach
+a target accuracy, are first-class values supplied by the caller. They are
+trusted by :func:`effective_partial_sum` (whose guarantee is only as honest
+as the rate) and can be falsified, never verified, by :func:`check_modulus`.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ class RateUndefinedError(ValueError):
 
 
 class RateFunction:
-    """Caller-supplied promise: summing ``terms_for(m, r)`` terms lands
-    within ``2^-m`` of the limit at modulus ``r``. Only ever falsified."""
+    """Caller-supplied promise: the partial sum through index
+    ``terms_for(m, r)`` (``S_N``, the terms ``a_0..a_N``) lands within
+    ``2^-m`` of the limit at modulus ``r``. Only ever falsified."""
 
     def terms_for(self, m: int, r: Fraction = _ZERO) -> int:
         raise NotImplementedError
@@ -359,21 +360,84 @@ def _running_sums(stream: CoefficientStream, point: EvaluationPoint, first: int 
         yield total
 
 
-def _split(p: tuple[int, int], q: tuple[int, int], a: int, b: int) -> tuple[int, int, int]:
+#: Ranges of at most this many terms are summed by the one-term recurrence.
+_LEAF_TERMS = 16
+
+#: Guard bits of :func:`_exact_quotient`: any G >= 3 keeps its rounding exact.
+_GUARD_BITS = 66
+
+#: The :func:`_split` triple of an empty range.
+_EMPTY = (1, 1, 0)
+
+
+def _split(
+    p: tuple[int, int],
+    q: tuple[int, int],
+    a: int,
+    b: int,
+    acc: tuple[int, int, int] = _EMPTY,
+    keep_p: bool = True,
+) -> tuple[int | None, int, int]:
     """Binary splitting of ``[a, b)`` for ``p(j) = p[0]*j + p[1]``, ``q(j) = q[0]*j + q[1]``.
 
-    Returns ``(P(a, b), Q(a, b), T)``, where ``P(x, y)`` and ``Q(x, y)`` are
-    the products of ``p(j)`` and ``q(j)`` over ``x <= j < y`` and
-    ``T = sum(P(a, n) * Q(n, b) for a <= n < b)``, so ``T / Q(a, b)`` sums
-    ``P(a, n) / Q(a, n)``. Halves merge as ``P1*P2, Q1*Q2, T1*Q2 + P1*T2``.
+    For ``acc = (P(x, a), Q(x, a), T(x, a))`` returns ``(P(x, b), Q(x, b),
+    T(x, b))``, where ``P(x, y)`` and ``Q(x, y)`` are the products of ``p(j)``
+    and ``q(j)`` over ``x <= j < y`` and ``T(x, y) = sum(P(x, n) * Q(n, y) for
+    x <= n < y)``, so ``T / Q`` sums ``P(x, n) / Q(x, n)``; the default ``acc``
+    starts at ``x = a``. Halves merge as ``P1*P2, Q1*Q2, T1*Q2 + P1*T2``, and
+    up to ``_LEAF_TERMS`` terms extend ``acc`` by ``P*p(j), Q*q(j), (T + P)*q(j)``
+    each. No merge reads the rightmost ``P``, so with ``keep_p`` false it is
+    not formed and ``None`` stands in its place.
     """
-    if b - a == 1:
-        qa = q[0] * a + q[1]
-        return p[0] * a + p[1], qa, qa
+    big_p, big_q, big_t = acc
+    if b - a <= _LEAF_TERMS:
+        (p0, p1), (q0, q1) = p, q
+        for j in range(a, b):
+            qj = q0 * j + q1
+            big_t, big_q = (big_t + big_p) * qj, big_q * qj
+            if keep_p or j + 1 < b:
+                big_p *= p0 * j + p1
+        return (big_p if keep_p else None), big_q, big_t
     m = (a + b) // 2
     p1, q1, t1 = _split(p, q, a, m)
-    p2, q2, t2 = _split(p, q, m, b)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p2, q2, t2 = _split(p, q, m, b, keep_p=keep_p)
+    whole = (p1 * p2 if keep_p else None), q1 * q2, t1 * q2 + p1 * t2
+    if acc == _EMPTY:
+        return whole
+    p2, q2, t2 = whole
+    return (big_p * p2 if keep_p else None), big_q * q2, big_t * q2 + big_p * t2
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    """``a // b`` for ``b > 0`` that divides ``a``, read from the top bits.
+
+    Both drop their ``s = 2*bits(b) - bits(a) - G`` low bits, so the divisor
+    keeps G bits more than the quotient and ``a' / b'`` lies within
+    ``2^(2-G)`` of ``a / b``; as that is an integer, rounding ``a' / b'``
+    gives it (Jebelean, J. Symbolic Computation 15, 1993).
+    """
+    s = 2 * b.bit_length() - a.bit_length() - _GUARD_BITS if a else 0
+    if s <= 0:
+        return a // b
+    a, b = a >> s, b >> s
+    return (2 * a + b) // (2 * b)
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime = Fraction._from_coprime_ints
+else:
+
+    def _coprime(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ``den > 0``: one gcd, then two exact quotients
+    and no second gcd, as the parts left are coprime."""
+    g = math.gcd(num, den)
+    if g == 1:
+        return _coprime(num, den)
+    return _coprime(_exact_quotient(num, g), _exact_quotient(den, g))
 
 
 def _sampled_sums(
@@ -383,9 +447,11 @@ def _sampled_sums(
     first..k)`` with ``den > 0`` (``S_k`` from ``first = 0``), for each k of
     the strictly increasing, non-empty ``indices``, none below ``first``. A
     shaped stream reads only ``a_start``, ``start = max(first, shape.start)``:
-    the sum is ``a_start * r^start * T / Q`` for the :func:`_split` triple over
-    ``[start, k + 1)``, extended one segment per index with no gcd. Any other
-    stream is summed term by term from ``first``."""
+    the sum is ``T / Q`` for the :func:`_split` triple over ``[start, k + 1)``
+    from ``P / Q = a_start * r^start`` and ``T = 0``, extended one segment per
+    index with no gcd; the last segment forms no ``P``. Any other stream is
+    summed term by term from ``first``. :func:`_reduced` turns a result into
+    a ``Fraction``."""
     shape = _shape_of(stream, indices[-1])
     if shape is None:
         wanted = set(indices)
@@ -395,12 +461,11 @@ def _sampled_sums(
     start, (a, b), (c, d), r = max(first, shape.start), shape.num, shape.den, point.r
     lead = stream.at(start) * r ** start if start <= indices[-1] else _ZERO
     p, q = (a * r.numerator, b * r.numerator), (c * r.denominator, d * r.denominator)
-    big_p, big_q, big_t, done = 1, 1, 0, start
+    acc, done = (lead.numerator, lead.denominator, 0), start
     for k in indices:
         if k >= start:  # below start S_k = 0, and T is still 0
-            p2, q2, t2 = _split(p, q, done, k + 1)
-            big_p, big_q, big_t, done = big_p * p2, big_q * q2, big_t * q2 + big_p * t2, k + 1
-        num, den = lead.numerator * big_t, lead.denominator * big_q
+            acc, done = _split(p, q, done, k + 1, acc, k != indices[-1]), k + 1
+        _, den, num = acc
         yield (k, num, den) if den > 0 else (k, -num, -den)
 
 
@@ -409,7 +474,7 @@ def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) ->
     if upto < 0:
         raise ValueError("partial sum index must be non-negative")
     ((_, num, den),) = _sampled_sums(stream, point, [upto])
-    return Fraction(num, den)
+    return _reduced(num, den)
 
 
 def prefix_sums(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> list[Fraction]:
@@ -423,11 +488,12 @@ def effective_partial_sum(
     m: int,
     rate: RateFunction,
 ) -> tuple[Fraction, int]:
-    """Sum the number of terms the rate prescribes for accuracy ``2^-m``.
+    """Sum through the index the rate prescribes for accuracy ``2^-m``.
 
-    Returns (value, terms_used). The accuracy guarantee is exactly as
-    honest as the supplied rate function; use :func:`check_modulus` to
-    hunt for dishonest rates.
+    Returns ``(S_N, N)``: N is the last index summed, so ``N + 1`` terms
+    ``a_0..a_N``. The accuracy guarantee is exactly as honest as the
+    supplied rate function; use :func:`check_modulus` to hunt for
+    dishonest rates.
     """
     if m < 0:
         raise ValueError("precision exponent must be non-negative")
@@ -649,10 +715,10 @@ def check_modulus(
     indices = sorted(traced.union(k0 + d for k0 in promised for d in MODULUS_SAMPLE_OFFSETS))
     limit_num, limit_den = claimed_limit.numerator, claimed_limit.denominator
     trace = []
-    best, failure = n_max + 1, None  # the exponent, then (k, S_k), of the first failure
+    best, failure = n_max + 1, None  # the exponent, then (k, num, den), of the first failure
     for k, num, den in _sampled_sums(stream, point, indices):
         if k in traced:
-            trace.append((k, Fraction(num, den)))
+            trace.append((k, _reduced(num, den)))
         gap, scale = abs(num * limit_den - limit_num * den), den * limit_den
         # The least n with gap << n >= scale, that is |S_k - limit| >= 2^-n as den > 0.
         fails_from = max(scale.bit_length() - gap.bit_length(), 0) if gap else best
@@ -665,12 +731,13 @@ def check_modulus(
                 # An exponent meets its offsets in index order, so the least failing
                 # exponent, where it first fails, is first in (n, offset) order.
                 if fails_from <= n < best:
-                    best, failure = n, (k, Fraction(num, den))
+                    best, failure = n, (k, num, den)
             cursors[position] = i
     if failure is None:
         verdict, witness = ConsistentUpToBudget(n_max), None
     else:
-        k, value = failure
+        k, num, den = failure
+        value = _reduced(num, den)
         detail = {
             "precision_exponent": best,
             "terms": k,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,6 +193,23 @@ def test_forward_preview_converts_one_value_and_multiplies_the_rest(tmp_path, ca
         with corpus.int_digit_limit(0):
             assert texts == tuple(str(math.factorial(n)) for n in indices)
         assert len(conversions) == 1, budget
+
+
+def test_forward_preview_holds_one_value_text_at_a_time(tmp_path, monkeypatch):
+    # At x = 30000 the doubler halts at step 120002, and the preview's ten
+    # values are about 5.6 MB of text; holding one at a time peaks near 3 MB.
+    program = tmp_path / "doubler.m"
+    program.write_text("loop: decjz 0 done\ninc 1\ninc 1\ndecjz 2 loop\ndone: halt\n")
+    argv = ["forward", str(program), "--input", "30000", "--r", "1/2", "--budget", "130000"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_forward_nonpositive_point_exits_one(three_file, capsys):
@@ -424,6 +442,15 @@ def test_eval_exp_series(tmp_path, capsys):
         "terms used: 6\n"
         "value: 1957/720 (approx 2.718055555556)\n"
     )
+
+
+def test_eval_terms_used_is_the_last_index_summed(tmp_path, capsys):
+    # constant:4 sums a_0..a_4, five terms of 1
+    spec = series_file(tmp_path, "builtin one")
+    code = main(["eval", spec, "--r", "1", "-m", "0", "--rate", "constant:4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == "terms used: 4\nvalue: 5 (approx 5.000000000000)\n"
 
 
 def test_eval_rate_domain_error_exits_one(tmp_path, capsys):

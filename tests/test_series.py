@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from haltseries import (
     CoefficientStream,
@@ -34,7 +34,13 @@ from haltseries import (
 
 import corpus
 from haltseries.coefficients import TermShape
-from haltseries.series import MODULUS_SAMPLE_OFFSETS, _sampled_sums, _trace_indices
+from haltseries.series import (
+    MODULUS_SAMPLE_OFFSETS,
+    _exact_quotient,
+    _reduced,
+    _sampled_sums,
+    _trace_indices,
+)
 
 HALF = EvaluationPoint(Fraction(1, 2))
 UNIT = EvaluationPoint(Fraction(1))
@@ -223,6 +229,115 @@ def test_resumed_sum_reads_only_the_terms_it_adds():
     shaped = corpus.Counting(builtin_stream("harmonic"))
     resumed_sum(shaped, Fraction(1), 100, 10 ** 4)
     assert shaped.reads == 1
+
+
+class Shaped(CoefficientStream):
+    """``a_start * prod((a*j + b) / (c*j + d) for start <= j < n)`` from ``start``
+    on, zero below it, with that term shape: any linear forms nonzero there."""
+
+    def __init__(self, start, lead, num, den):
+        self.start, self.lead, self.num, self.den = start, lead, num, den
+        self.terms = [lead]  # a_start, a_(start+1), ...
+
+    def at(self, n):
+        if n < self.start:
+            return Fraction(0)
+        (a, b), (c, d) = self.num, self.den
+        while len(self.terms) <= n - self.start:
+            j = self.start + len(self.terms) - 1
+            self.terms.append(self.terms[-1] * Fraction(a * j + b, c * j + d))
+        return self.terms[n - self.start]
+
+    def term_shape(self, upto):
+        return TermShape(self.start, self.num, self.den)
+
+
+linear_forms = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@st.composite
+def shaped_sums(draw):
+    """A shaped stream, a point with large parts, ``first`` and the indices
+    after it: runs of consecutive ones, gaps, and segments longer than 16."""
+    first = draw(st.integers(0, 40))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 2, 5, 16, 17, 40, 97]), min_size=1, max_size=6))
+    indices = [first + draw(st.integers(0, 40))]
+    for gap in gaps[1:]:
+        indices.append(indices[-1] + gap)
+    start = draw(st.integers(0, indices[-1] + 5))  # may lie past the last index
+    num, den = draw(linear_forms), draw(linear_forms)
+    for j in range(start, indices[-1] + 1):
+        assume(num[0] * j + num[1] != 0 and den[0] * j + den[1] != 0)
+    lead = draw(st.fractions(-50, 50, max_denominator=10**6).filter(bool))
+    r = Fraction(draw(st.integers(0, 10**30)), draw(st.integers(1, 10**30)))
+    return Shaped(start, lead, num, den), r, first, indices
+
+
+@given(shaped_sums())
+@settings(deadline=None, max_examples=300)
+def test_sampled_sums_match_a_running_fraction_sum(case):
+    stream, r, first, indices = case
+    got = list(_sampled_sums(stream, EvaluationPoint(r), indices, first))
+    assert [k for k, _, _ in got] == indices
+    total, wanted = Fraction(0), iter(got)
+    for j in range(first, indices[-1] + 1):
+        total += stream.at(j) * r ** j
+        if j in indices:
+            k, num, den = next(wanted)
+            value = _reduced(num, den)
+            assert den > 0 and value == total, (k, first)
+            assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
+    if first == 0:
+        assert partial_sum(stream, EvaluationPoint(r), indices[-1]) == total
+
+
+def quotient_cases():
+    """``(q, b)``: quotients at bit-length edges, divisors whose cut drops
+    all-one low bits, and divisors too short for any cut (s clamps to 0)."""
+    for k in (1, 2, 7, 64, 65, 200):
+        for q in (2**k - 1, 2**k, 2**k + 1):
+            for m in (1, 2, 70, 200, 1000):
+                yield q, 2**m - 1
+                yield q, 2 ** (m - 1) + 2 ** max(m - k - 1, 0) - 1  # b' just past a power of 2
+    yield 1, 3**500
+    yield 3**40, 5**300
+
+
+@pytest.mark.parametrize(
+    "q, b",
+    [pytest.param(q, b, id=f"q{q.bit_length()}-b{b.bit_length()}") for q, b in quotient_cases()],
+)
+def test_exact_quotient_recovers_the_quotient(q, b):
+    for sign in (1, -1):
+        assert _exact_quotient(sign * q * b, b) == sign * q
+    assert _exact_quotient(b, b) == 1
+    assert _exact_quotient(0, b) == 0
+
+
+@given(st.integers(-(2**600), 2**600), st.integers(1, 2**900))
+@settings(deadline=None)
+def test_exact_quotient_matches_floor_division(q, b):
+    assert _exact_quotient(q * b, b) == q
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(7, 7), (-7, 7), (-(6**300), 4**200), (5, 2**300), (0, 2**200), (0, 1),
+     (3**400 * 2, 3**400 * 5), (-(10**500), 10**499), (12, 18)],
+    ids=["equal", "negative-equal", "negative", "coprime", "zero", "zero-over-one",
+         "large-gcd", "negative-integer", "small"],
+)
+def test_reduced_is_the_canonical_fraction(num, den):
+    value, expected = _reduced(num, den), Fraction(num, den)
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert value == expected and hash(value) == hash(expected)
+
+
+@given(st.integers(-(2**400), 2**400), st.integers(1, 2**400), st.integers(1, 2**500))
+@settings(deadline=None)
+def test_reduced_matches_the_fraction_constructor(num, den, g):
+    value, expected = _reduced(num * g, den * g), Fraction(num, den)
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
 # ---------------------------------------------------------------------------

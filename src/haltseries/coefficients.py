@@ -25,7 +25,6 @@ __all__ = [
     "BuiltinId",
     "CoefficientStream",
     "HaltingEncoded",
-    "BuiltinStream",
     "ExplicitStream",
     "builtin_stream",
     "parse_series_spec",

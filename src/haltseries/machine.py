@@ -30,19 +30,13 @@ __all__ = [
     "Inc",
     "DecJz",
     "Halt",
-    "Instruction",
     "MachineProgram",
-    "MachineState",
     "HaltedAt",
     "RunningAfter",
-    "ExecutionOutcome",
     "MachineParseError",
     "GodelDecodeError",
     "parse_program",
     "pretty_program",
-    "initial_state",
-    "is_halted",
-    "step",
     "run_bounded",
     "halted_by",
     "encode_godel",
@@ -234,15 +228,6 @@ class MachineProgram:
 
 
 @dataclass(frozen=True)
-class MachineState:
-    """Interpreter state: ``pc == len(instructions)`` encodes "halted"."""
-
-    pc: int
-    registers: tuple[int, ...]
-    steps_executed: int
-
-
-@dataclass(frozen=True)
 class HaltedAt:
     """The program halted; ``steps`` is the exact step count at halt."""
 
@@ -256,9 +241,6 @@ class RunningAfter:
 
     budget: int
     halted = False
-
-
-ExecutionOutcome = Union[HaltedAt, RunningAfter]
 
 
 # ---------------------------------------------------------------------------
@@ -396,42 +378,6 @@ def pretty_program(program: MachineProgram) -> str:
 # ---------------------------------------------------------------------------
 
 
-def initial_state(program: MachineProgram, input_value: int) -> MachineState:
-    """Load ``input_value`` into register 0, zero the rest, reset counters."""
-    if input_value < 0:
-        raise ValueError("input must be a natural number")
-    registers = (input_value,) + (0,) * (program.register_count - 1)
-    return MachineState(pc=0, registers=registers, steps_executed=0)
-
-
-def is_halted(program: MachineProgram, state: MachineState) -> bool:
-    return state.pc >= len(program.instructions)
-
-
-def step(program: MachineProgram, state: MachineState) -> MachineState:
-    """Execute exactly one instruction, returning the successor state.
-
-    Stepping a halted state is a contract violation and raises ValueError.
-    """
-    n = len(program.instructions)
-    if state.pc >= n:
-        raise ValueError("cannot step a halted state")
-    ins = program.instructions[state.pc]
-    regs = state.registers
-    steps = state.steps_executed + 1
-    if isinstance(ins, Inc):
-        r = ins.register
-        regs = regs[:r] + (regs[r] + 1,) + regs[r + 1 :]
-        return MachineState(state.pc + 1, regs, steps)
-    if isinstance(ins, DecJz):
-        r = ins.register
-        if regs[r] > 0:
-            regs = regs[:r] + (regs[r] - 1,) + regs[r + 1 :]
-            return MachineState(state.pc + 1, regs, steps)
-        return MachineState(ins.target, regs, steps)
-    return MachineState(n, regs, steps)
-
-
 # A probe gives up after _CYCLE_CAP steps. A head whose probe did not pay off
 # rests for _QUIET times the probe's steps, so failed probes cost a fixed share.
 _CYCLE_CAP = 1 << 12
@@ -483,19 +429,19 @@ class MachineRun:
 
     ``registers``, ``pc`` and ``steps`` are the live interpreter state;
     ``halt_step`` is the step count at halt once the run has reached it,
-    else ``None``. This is the only place programs are executed outside
-    the single-step reference semantics of :func:`step`. ``advance`` is the
-    only loop that changes a run's state: at a loop head it applies at once
-    the passes that :func:`_cycle`, which only reads, shows to follow one
-    path, so a loop costs O(1) per exit and the state stays exactly what
-    :func:`step` gives.
+    else ``None``. ``advance`` is the only loop that executes programs: at
+    a loop head it applies at once the passes that :func:`_cycle`, which
+    only reads, shows to follow one path, so a loop costs O(1) per exit and
+    the state stays exactly what one instruction per step gives.
     """
 
     __slots__ = ("program", "registers", "pc", "steps", "halt_step", "_quiet")
 
     def __init__(self, program: MachineProgram, input_value: int):
+        if input_value < 0:
+            raise ValueError("input must be a natural number")
         self.program = program
-        self.registers = list(initial_state(program, input_value).registers)
+        self.registers = [input_value] + [0] * (program.register_count - 1)
         self.pc = 0
         self.steps = 0
         self.halt_step: int | None = None
@@ -540,7 +486,7 @@ class MachineRun:
         return self.halt_step
 
 
-def run_bounded(program: MachineProgram, input_value: int, budget: int) -> ExecutionOutcome:
+def run_bounded(program: MachineProgram, input_value: int, budget: int) -> HaltedAt | RunningAfter:
     """Run for at most ``budget`` steps.
 
     Returns ``HaltedAt(n0)`` with ``n0 <= budget`` when the program halts

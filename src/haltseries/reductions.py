@@ -62,7 +62,6 @@ __all__ = [
     "WindowFailure",
     "CauchyWindowCertificate",
     "StillRunning",
-    "DetectorOutcome",
     "forward_reduce",
     "semidecide_halting_via_series",
     "build_threshold_detector",
@@ -322,9 +321,6 @@ class StillRunning:
         return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
 
 
-DetectorOutcome = Union[Halted, StillRunning]
-
-
 def build_threshold_detector(stream: CoefficientStream) -> DetectorProgram:
     """Detector halting at the first N with ``|S_N(1)| > N``."""
     return DetectorProgram(DetectorKind.THRESHOLD, stream)
@@ -345,7 +341,7 @@ def run_detector(
     detector: DetectorProgram,
     budget: int,
     cancel: Callable[[], bool] | None = None,
-) -> DetectorOutcome:
+) -> Halted | StillRunning:
     """Run a detector for at most ``budget`` outer iterations.
 
     Deterministic given the stream. ``cancel`` is polled at iteration
@@ -381,7 +377,7 @@ def _run_threshold(
     stream: CoefficientStream,
     budget: int,
     cancel: Callable[[], bool] | None,
-) -> DetectorOutcome:
+) -> Halted | StillRunning:
     """Threshold loop over a sound scaled-integer enclosure of S_N.
 
     Whenever the enclosure does not rule out ``|S_N| > N``, the exact
@@ -427,7 +423,7 @@ def _run_window_heuristic(
     knobs: CauchyWindowKnobs,
     budget: int,
     cancel: Callable[[], bool] | None,
-) -> DetectorOutcome:
+) -> Halted | StillRunning:
     sums: list[Fraction] = [stream.at(0)]
     # Monotone stacks over sums[1..]: ``highs`` holds indices whose sums
     # strictly fall left to right, ``lows`` indices whose sums strictly

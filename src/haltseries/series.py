@@ -38,12 +38,10 @@ __all__ = [
     "TabulatedRate",
     "RateUndefinedError",
     "parse_rate_spec",
-    "Verdict",
     "WitnessedDivergence",
     "WitnessedBoundViolation",
     "ConsistentUpToBudget",
     "SeriesProbeReport",
-    "RootEstimateReport",
     "partial_sum",
     "prefix_sums",
     "effective_partial_sum",

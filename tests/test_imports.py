@@ -8,7 +8,9 @@ cross to and from text through ``machine``'s helpers at any length
 instead. The modules form an import chain, ``machine``, ``coefficients``,
 ``series``, ``reductions``, in which each imports only the ones before
 it; ``__init__.py`` loads them along that chain on first use, and the
-last tests hold it to re-exporting each module's ``__all__``.
+last tests hold it to re-exporting each module's ``__all__``, pin that
+list, and require each name on it to be read by the tests, the
+benchmark or the CLI.
 """
 
 import ast
@@ -21,6 +23,7 @@ import pytest
 import haltseries
 
 PACKAGE = Path(haltseries.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(PACKAGE.glob("*.py"))
 #: The import chain: each module may import only the ones before it.
 CHAIN = ("machine", "coefficients", "series", "reductions")
@@ -199,3 +202,56 @@ def test_package_reexports_each_modules_all_and_nothing_else():
         haltseries.Halted
     with pytest.raises(AttributeError):
         haltseries.no_such_name
+
+
+PUBLIC = [
+    "Inc", "DecJz", "Halt", "MachineProgram", "HaltedAt", "RunningAfter", "MachineParseError",
+    "GodelDecodeError", "parse_program", "pretty_program", "run_bounded", "halted_by",
+    "encode_godel", "decode_godel",
+    "BuiltinId", "CoefficientStream", "HaltingEncoded", "ExplicitStream", "builtin_stream",
+    "parse_series_spec", "parse_rational", "format_rational", "approx_decimal",
+    "EvaluationPoint", "RateFunction", "ExpTailRate", "LinearRate", "TabulatedRate",
+    "RateUndefinedError", "parse_rate_spec", "WitnessedDivergence", "WitnessedBoundViolation",
+    "ConsistentUpToBudget", "SeriesProbeReport", "partial_sum", "prefix_sums",
+    "effective_partial_sum", "ratio_test_probe", "root_estimate", "check_effective_criterion",
+    "check_modulus",
+    "DetectorKind", "CauchyWindowKnobs", "DetectorProgram", "ThresholdCertificate",
+    "WindowFailure", "CauchyWindowCertificate", "StillRunning", "forward_reduce",
+    "semidecide_halting_via_series", "build_threshold_detector", "build_cauchy_window_detector",
+    "build_cauchy_window_heuristic", "run_detector", "recheck_certificate",
+    "DetectorHalted",
+]
+
+
+def test_public_surface_is_the_pinned_list():
+    assert haltseries.__all__ == PUBLIC
+
+
+def read_names(source: str) -> set[str]:
+    """The names, attribute names and imported names (and their aliases)
+    that ``source`` spells in code; string constants do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+def test_read_names_are_found():
+    source = (
+        "from haltseries import Inc as I, Halt\nimport haltseries.machine\n"
+        "haltseries.run_bounded(x)\nNAMES = ['decode_godel']\ndef encode_godel(): pass\n"
+    )
+    assert read_names(source) == {"Inc", "I", "Halt", "haltseries.machine", "haltseries",
+                                  "run_bounded", "x", "NAMES"}
+
+
+def test_every_public_name_is_read_outside_the_package():
+    sources = [*sorted((REPO / "tests").glob("*.py")), *sorted((REPO / "bench").glob("*.py")),
+               PACKAGE / "cli.py"]
+    read = set().union(*(read_names(path.read_text()) for path in sources))
+    assert [name for name in haltseries.__all__ if name not in read] == []

@@ -14,24 +14,19 @@ from haltseries import (
     GodelDecodeError,
     Halt,
     HaltedAt,
+    HaltingEncoded,
     Inc,
     MachineParseError,
     MachineProgram,
-    MachineState,
     RunningAfter,
     decode_godel,
     encode_godel,
     halted_by,
-    initial_state,
-    is_halted,
     parse_program,
     pretty_program,
     run_bounded,
-    step,
 )
-from haltseries.machine import (
-    _LABEL_RE, _OP_DECJZ, _OP_INC, MAX_REGISTERS, MachineRun, _parse_nat,
-)
+from haltseries.machine import _LABEL_RE, MAX_REGISTERS, MachineRun, _parse_nat
 
 import corpus
 
@@ -275,43 +270,60 @@ def test_pretty_preserves_declared_registers():
 
 
 # ---------------------------------------------------------------------------
-# step semantics
+# one-step semantics
 # ---------------------------------------------------------------------------
 
 
+def _single_steps(program, input_value, budgets):
+    """The reference semantics: the state after each budget, executing one
+    instruction of ``program.instructions`` per step, with no macro-steps
+    and without the interpreter's dense table."""
+    instructions = program.instructions
+    n = len(instructions)
+    regs = [input_value] + [0] * (program.register_count - 1)
+    pc = steps = 0
+    states = []
+    for budget in budgets:
+        while steps < budget and pc < n:
+            ins = instructions[pc]
+            steps += 1
+            if isinstance(ins, Inc):
+                regs[ins.register] += 1
+                pc += 1
+            elif isinstance(ins, DecJz):
+                if regs[ins.register]:
+                    regs[ins.register] -= 1
+                    pc += 1
+                else:
+                    pc = ins.target
+            else:
+                pc = n
+        states.append((pc, tuple(regs), steps, steps if pc >= n else None))
+    return states
+
+
+def _after_one_step(source, pc, registers):
+    """``(pc, registers, steps, halt_step)`` after ``advance(1)`` from ``pc`` and ``registers``."""
+    run = MachineRun(parse_program(source), 0)
+    run.pc, run.registers = pc, list(registers)
+    halt_step = run.advance(1)
+    return run.pc, tuple(run.registers), run.steps, halt_step
+
+
 def test_step_inc():
-    program = parse_program("inc 0\nhalt")
-    state = MachineState(pc=0, registers=(4,), steps_executed=0)
-    after = step(program, state)
-    assert after == MachineState(pc=1, registers=(5,), steps_executed=1)
+    assert _after_one_step("halt\ninc 1\nhalt", 1, (4, 7)) == (2, (4, 8), 1, None)
 
 
 def test_step_decjz_on_zero_jumps_without_touching_registers():
-    program = parse_program("a: decjz 0 a\nhalt")
-    state = MachineState(pc=0, registers=(0,), steps_executed=3)
-    after = step(program, state)
-    assert after == MachineState(pc=0, registers=(0,), steps_executed=4)
+    assert _after_one_step("inc 0\ndecjz 1 0\nhalt", 1, (5, 0)) == (0, (5, 0), 1, None)
 
 
 def test_step_decjz_on_positive_decrements_and_advances():
-    program = parse_program("a: decjz 0 a\nhalt")
-    state = MachineState(pc=0, registers=(3,), steps_executed=0)
-    after = step(program, state)
-    assert after == MachineState(pc=1, registers=(2,), steps_executed=1)
+    assert _after_one_step("inc 0\ndecjz 1 0\nhalt", 1, (5, 3)) == (2, (5, 2), 1, None)
 
 
 def test_step_halt_moves_pc_past_the_end():
-    program = parse_program("halt")
-    after = step(program, initial_state(program, 0))
-    assert is_halted(program, after)
-    assert after.steps_executed == 1
-
-
-def test_step_on_halted_state_raises():
-    program = parse_program("halt")
-    state = MachineState(pc=1, registers=(0,), steps_executed=1)
-    with pytest.raises(ValueError):
-        step(program, state)
+    assert _after_one_step("inc 0\nhalt", 1, (2,)) == (2, (2,), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +377,8 @@ def test_run_bounded_is_deterministic():
 @given(corpus.programs(), st.integers(0, 5), st.integers(0, 60))
 @settings(deadline=None)
 def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
-    state = initial_state(program, input_value)
-    while state.steps_executed < budget and not is_halted(program, state):
-        state = step(program, state)
-    expected = (
-        HaltedAt(state.steps_executed)
-        if is_halted(program, state)
-        else RunningAfter(budget)
-    )
+    ((_, _, _, halt_step),) = _single_steps(program, input_value, [budget])
+    expected = RunningAfter(budget) if halt_step is None else HaltedAt(halt_step)
     assert run_bounded(program, input_value, budget) == expected
 
 
@@ -385,26 +391,23 @@ def test_run_bounded_agrees_with_single_stepping(program, input_value, budget):
 def test_resumed_run_agrees_with_single_stepping(program, input_value, budgets):
     # Inputs and budgets large enough for loop macro-steps of many passes.
     run = MachineRun(program, input_value)
-    state = initial_state(program, input_value)
-    for budget in budgets:
+    for budget, expected in zip(budgets, _single_steps(program, input_value, budgets)):
         halt_step = run.advance(budget)
-        while state.steps_executed < budget and not is_halted(program, state):
-            state = step(program, state)
-        expected_halt = state.steps_executed if is_halted(program, state) else None
-        assert (run.pc, tuple(run.registers), run.steps) == (
-            state.pc,
-            state.registers,
-            state.steps_executed,
-        )
-        assert halt_step == run.halt_step == expected_halt
+        assert (run.pc, tuple(run.registers), run.steps, halt_step) == expected
+        assert run.halt_step == halt_step
 
 
 def test_run_rejects_negative_input():
     program = parse_program("halt")
-    with pytest.raises(ValueError, match="natural number"):
-        MachineRun(program, -1)
-    with pytest.raises(ValueError, match="input must be a natural number"):
-        initial_state(program, -1)
+    starts = [
+        lambda: MachineRun(program, -1),
+        lambda: run_bounded(program, -1, 5),
+        lambda: halted_by(program, -1, 5),
+        lambda: HaltingEncoded(program, -1),
+    ]
+    for start in starts:
+        with pytest.raises(ValueError, match="input must be a natural number"):
+            start()
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run_bounded(program, 0, -1)
 
@@ -448,34 +451,6 @@ def multiplier(k: int) -> str:
         "outer: decjz 0 done\n" + "inc 2\n" * k
         + "inner: decjz 2 next\ninc 1\ndecjz 3 inner\nnext: decjz 3 outer\ndone: halt\n"
     )
-
-
-def _single_steps(program, input_value, budgets):
-    """The state after each budget, one loop iteration per step (no macro-steps)."""
-    code = program._code
-    n = len(code)
-    regs = [0] * program.register_count
-    regs[0] = input_value
-    pc = steps = 0
-    states = []
-    for budget in budgets:
-        while steps < budget and pc < n:
-            op, a, b = code[pc]
-            steps += 1
-            if op == _OP_INC:
-                regs[a] += 1
-                pc += 1
-            elif op == _OP_DECJZ:
-                v = regs[a]
-                if v:
-                    regs[a] = v - 1
-                    pc += 1
-                else:
-                    pc = b
-            else:
-                pc = n
-        states.append((pc, tuple(regs), steps, steps if pc >= n else None))
-    return states
 
 
 def _macro_steps(program, input_value, budgets):

@@ -378,50 +378,11 @@ def pretty_program(program: MachineProgram) -> str:
 # ---------------------------------------------------------------------------
 
 
-# A probe gives up after _CYCLE_CAP steps. A head whose probe did not pay off
-# rests for _QUIET times the probe's steps, so failed probes cost a fixed share.
-_CYCLE_CAP = 1 << 12
+# A watch of one loop pass gives up after _WATCH_CAP steps. A head whose watch
+# did not pay off rests for _QUIET times the steps watched, so failed watches
+# cost a fixed share.
+_WATCH_CAP = 1 << 12
 _QUIET = 8
-
-
-def _cycle(code: tuple, regs: list[int], head: int, room: int) -> tuple[int, int, dict[int, int]]:
-    """Probe one pass of the loop headed at ``head`` without changing ``regs``.
-
-    Returns ``(length, passes, deltas)``: a pass takes ``length`` steps and
-    adds ``deltas[r]`` to register ``r``, and the next ``passes`` passes fit
-    in ``room`` and take one path, as every zero test still finds zero and
-    every decrement a positive value. ``passes`` is 0 when the probe halts,
-    leaves the program or runs ``min(room, _CYCLE_CAP)`` steps unreturned.
-    """
-    values, low, zeros = {}, {}, set()  # written values, least decremented, zero-tested
-    pc, length, limit = head, 0, min(room, _CYCLE_CAP)
-    while length < limit and pc < len(code):
-        op, a, b = code[pc]
-        length += 1
-        if op == _OP_INC:
-            values[a] = values.get(a, regs[a]) + 1
-            pc += 1
-        elif op == _OP_DECJZ:
-            v = values.get(a, regs[a])
-            if v > 0:
-                values[a] = v - 1
-                low[a] = min(low.get(a, v), v)
-                pc += 1
-            else:
-                zeros.add(a)
-                pc = b
-        else:
-            break
-        if pc == head:
-            deltas = {r: v - regs[r] for r, v in values.items() if v != regs[r]}
-            passes = room // length
-            for r, d in deltas.items():
-                if r in zeros:
-                    passes = min(passes, 1)
-                elif d < 0:
-                    passes = min(passes, (low[r] - 1) // -d + 1)
-            return length, passes, deltas
-    return length, 0, {}
 
 
 class MachineRun:
@@ -429,10 +390,12 @@ class MachineRun:
 
     ``registers``, ``pc`` and ``steps`` are the live interpreter state;
     ``halt_step`` is the step count at halt once the run has reached it,
-    else ``None``. ``advance`` is the only loop that executes programs: at
-    a loop head it applies at once the passes that :func:`_cycle`, which
-    only reads, shows to follow one path, so a loop costs O(1) per exit and
-    the state stays exactly what one instruction per step gives.
+    else ``None``. ``advance`` is the only loop that executes programs. At
+    a loop head it watches one real pass of the loop, and when the pass
+    returns to the head it applies at once the further passes that keep
+    every zero test and decrement outcome of that pass, so a loop costs
+    O(1) per exit and the state stays exactly what one instruction per
+    step gives.
     """
 
     __slots__ = ("program", "registers", "pc", "steps", "halt_step", "_quiet")
@@ -445,7 +408,7 @@ class MachineRun:
         self.pc = 0
         self.steps = 0
         self.halt_step: int | None = None
-        self._quiet: dict[int, int] = {}  # loop head -> first step it may be probed again
+        self._quiet: dict[int, int] = {}  # loop head -> first step it may be watched again
 
     def advance(self, budget: int) -> int | None:
         """Run on until halted or ``budget`` steps in total; return ``halt_step``."""
@@ -455,27 +418,60 @@ class MachineRun:
         quiet = self._quiet
         pc = self.pc
         steps = self.steps
+        # The watched pass: its head (-1 when none), the step it began at, each
+        # register's value before its first write, the least value each
+        # decrement met, and the zero-tested registers. The last four are
+        # bound when a watch starts.
+        head = -1
         while steps < budget and pc < n:
             op, a, b = code[pc]
             steps += 1
             if op == _OP_INC:
+                if head >= 0 and a not in before:
+                    before[a] = regs[a]
                 regs[a] += 1
                 pc += 1
             elif op == _OP_DECJZ:
                 v = regs[a]
                 if v:
+                    if head >= 0:
+                        if a not in before:
+                            before[a] = low[a] = v
+                        elif a not in low or v < low[a]:
+                            low[a] = v
                     regs[a] = v - 1
                     pc += 1
-                else:
+                elif head < 0:
                     # Fall-through only moves forward, so every loop closes
                     # with a backward jump like this one.
                     if b <= pc and quiet.get(b, 0) <= steps:
-                        length, passes, deltas = _cycle(code, regs, b, budget - steps)
+                        head, start, before, low, zeros = b, steps, {}, {}, set()
+                    pc = b
+                else:
+                    zeros.add(a)
+                    if b == head:
+                        # The pass from ``start`` ran for real. Each later
+                        # pass adds the same deltas and takes the same path
+                        # while zero-tested registers keep their values and
+                        # decrements find positive ones; those of them that
+                        # fit in the budget follow at once.
+                        length = steps - start
+                        passes = (budget - start) // length
+                        deltas = {r: regs[r] - v for r, v in before.items() if regs[r] != v}
                         for r, d in deltas.items():
-                            regs[r] += passes * d
-                        steps += passes * length
+                            if r in zeros:
+                                passes = min(passes, 1)
+                            elif d < 0:
+                                passes = min(passes, (low[r] - 1) // -d + 1)
+                        for r, d in deltas.items():
+                            regs[r] += (passes - 1) * d
+                        steps += (passes - 1) * length
                         if passes < 2:
-                            quiet[b] = steps + _QUIET * length
+                            quiet[head] = steps + _QUIET * length
+                        head = -1
+                    elif steps - start >= _WATCH_CAP:
+                        quiet[head] = steps + _QUIET * (steps - start)
+                        head = -1
                     pc = b
             else:
                 pc = n

@@ -648,8 +648,7 @@ def check_effective_criterion(
         raise ValueError("radius must be positive")
     if k_max < 0 or n_budget < 1:
         raise ValueError("k_max must be >= 0 and n_budget >= 1")
-    report = root_estimate(stream, n_budget)
-    ests = dict(report.estimates)
+    estimates = root_estimate(stream, n_budget).estimates  # (n, estimate) for n = 1, 2, ...
     inv_radius = 1 / radius
     for k in range(k_max + 1):
         bound = inv_radius + Fraction(1, 2 ** k)
@@ -658,7 +657,7 @@ def check_effective_criterion(
         bound_power = bound ** start if start <= n_budget else None
         for n in range(start, n_budget + 1):
             # Screen generously in floats, then confirm exactly.
-            if ests[n] * (1 + 1e-6) >= bound_f:
+            if estimates[n - 1][1] * (1 + 1e-6) >= bound_f:
                 magnitude = abs(stream.at(n))
                 if magnitude >= bound_power:
                     detail = {

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from haltseries import (
     pretty_program,
     run_bounded,
 )
+from haltseries import machine
 from haltseries.machine import _LABEL_RE, MAX_REGISTERS, MachineRun, _parse_nat
 
 import corpus
@@ -453,12 +455,26 @@ def multiplier(k: int) -> str:
     )
 
 
+class _CountedCode(tuple):
+    """A program's dense table that counts the instructions read from it."""
+
+    reads = 0
+
+    def __getitem__(self, pc):
+        self.reads += 1
+        return super().__getitem__(pc)
+
+
 def _macro_steps(program, input_value, budgets):
+    """The states after each budget of one resumed run. The run reads no
+    more instructions than it takes steps, so no pass ever runs twice."""
     run = MachineRun(program, input_value)
+    code = program.__dict__["_code"] = _CountedCode(program._code)
     states = []
     for budget in budgets:
         halt_step = run.advance(budget)
         states.append((run.pc, tuple(run.registers), run.steps, halt_step))
+        assert code.reads <= run.steps
     return states
 
 
@@ -476,10 +492,11 @@ LOOPS = {
 @pytest.mark.parametrize("input_value", [0, 1, 2, 5, 61, 150, 1001])
 def test_loop_macro_steps_agree_with_a_plain_loop(name, input_value):
     program = parse_program(LOOPS[name])
-    budgets = [1, 2, 7, 100, 1001, 12_345, 12_346, 99_999, 10 ** 5]
-    assert _macro_steps(program, input_value, budgets) == _single_steps(
-        program, input_value, budgets
-    )
+    # Resumed one step at a time, the run cuts a watched pass at every point.
+    for budgets in ([1, 2, 7, 100, 1001, 12_345, 12_346, 99_999, 10 ** 5], range(1, 401)):
+        assert _macro_steps(program, input_value, budgets) == _single_steps(
+            program, input_value, budgets
+        )
 
 
 def test_loop_macro_steps_agree_with_a_plain_loop_on_random_programs():
@@ -490,6 +507,24 @@ def test_loop_macro_steps_agree_with_a_plain_loop_on_random_programs():
         budgets = sorted(rng.randint(0, 2 * 10 ** 4) for _ in range(3))
         expected = _single_steps(program, input_value, budgets)
         assert _macro_steps(program, input_value, budgets) == expected, program
+
+
+def test_only_the_dense_table_and_advance_read_the_opcodes():
+    # One interpreter core: no second loop dispatches over the instruction set.
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id in ("_OP_INC", "_OP_DECJZ"):
+                if isinstance(child.ctx, ast.Load):
+                    readers.add(".".join(scope))
+            elif isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(Path(machine.__file__).read_text()), ())
+    assert readers == {"MachineProgram._code", "MachineRun.advance"}
 
 
 def test_closed_form_halt_steps():

@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .machine import MachineProgram, MachineRun, _int_text, _text_int, parse_program
+from .machine import MachineProgram, MachineRun, _int_text, _Record, _text_int, parse_program
 
 __all__ = [
     "BuiltinId",
@@ -54,8 +53,7 @@ def _factorial(stream, n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TermShape:
+class TermShape(_Record):
     """A stream's hypergeometric shape up to some index.
 
     Terms are zero below ``start`` and nonzero from ``start`` on, where
@@ -149,8 +147,7 @@ class BuiltinId(enum.Enum):
         raise ValueError(f"unknown builtin {name!r}")
 
 
-@dataclass(frozen=True)
-class BuiltinStream(CoefficientStream):
+class BuiltinStream(CoefficientStream, _Record):
     """One of the named sequences, with validated parameters.
 
     zero: 0, one: 1, harmonic: 1/(n+1), alternating: (-1)^n,
@@ -212,8 +209,7 @@ class BuiltinStream(CoefficientStream):
         return TermShape(0, (0, q.numerator), (0, q.denominator)) if q else None
 
 
-@dataclass(frozen=True)
-class ExplicitStream(CoefficientStream):
+class ExplicitStream(CoefficientStream, _Record):
     """A finite prefix followed by a constant tail."""
 
     prefix: tuple[Fraction, ...]

@@ -12,9 +12,9 @@ Programs carry an explicit register count (register 0 holds the input and
 the output by convention) and are immutable after construction. Besides
 the interpreter, this module provides a line-oriented source format and an
 injective arithmetic encoding of programs as natural numbers, built from
-the Cantor pairing function. Its private ``_int_text`` and ``_text_int``
-convert integers to and from decimal text at any length, for the whole
-package.
+the Cantor pairing function. For the whole package, its private ``_Record``
+is the base of every value class, and ``_int_text`` and ``_text_int``
+convert integers to and from decimal text at any length.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
@@ -49,15 +48,67 @@ MAX_DECODED_INSTRUCTIONS = 4096
 MAX_REGISTERS = 4096
 
 
-@dataclass(frozen=True)
-class Inc:
+class _Record:
+    """Base of the package's frozen value classes. It generates no code, so no
+    module imports ``dataclasses``. As in a frozen dataclass, a record's fields
+    (``__match_args__``) are its bases' then its own annotated names; an omitted
+    field takes its class attribute; ``__post_init__`` runs after ``__init__``;
+    records compare and hash as field tuples within one class (``eq=False``
+    keeps identity); writes raise ``AttributeError``; and ``__replace__``
+    copies with changes, as ``copy.replace`` asks on Python 3.13+."""
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls, eq=True):
+        own = cls.__dict__.get("__annotations__", ())
+        cls.__match_args__ += tuple(key for key in own if key not in cls.__match_args__)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__match_args__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name}() takes each of {fields} once, by position or keyword")
+        values = dict(zip(fields, args), **kwargs)
+        for key in fields:
+            try:
+                self.__dict__[key] = values[key] if key in values else getattr(type(self), key)
+            except AttributeError:
+                raise TypeError(f"{name}() missing argument {key!r}") from None
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalize the fields; a subclass overrides it."""
+
+    def __values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__match_args__)
+
+    def __eq__(self, other):
+        return self.__values() == other.__values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__values())
+
+    def __repr__(self):
+        shown = (f"{key}={value!r}" for key, value in zip(self.__match_args__, self.__values()))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {key!r}")
+
+    __delattr__ = __setattr__
+
+    def __replace__(self, **changes):
+        return type(self)(**dict(zip(self.__match_args__, self.__values()), **changes))
+
+
+class Inc(_Record):
     """Increment a register and advance to the next instruction."""
 
     register: int
 
 
-@dataclass(frozen=True)
-class DecJz:
+class DecJz(_Record):
     """Decrement-or-jump-if-zero.
 
     When the register is positive: decrement it and advance. When it is
@@ -68,8 +119,7 @@ class DecJz:
     target: int
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(_Record):
     """Stop execution (sets the instruction pointer past the end)."""
 
 
@@ -190,8 +240,7 @@ def _instruction_problem(ins: Instruction, register_count: int, count: int) -> s
     return None
 
 
-@dataclass(frozen=True)
-class MachineProgram:
+class MachineProgram(_Record):
     """A validated counter-machine program.
 
     Invariants: at least one instruction, every jump target is an existing
@@ -227,16 +276,14 @@ class MachineProgram:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class HaltedAt:
+class HaltedAt(_Record):
     """The program halted; ``steps`` is the exact step count at halt."""
 
     steps: int
     halted = True  # unannotated, so a class constant and not a field
 
 
-@dataclass(frozen=True)
-class RunningAfter:
+class RunningAfter(_Record):
     """The program was still running when the step budget ran out."""
 
     budget: int

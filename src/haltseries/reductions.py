@@ -34,13 +34,13 @@ render themselves as the CLI prints them (``to_text`` and ``to_kv``).
 from __future__ import annotations
 
 import enum
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .coefficients import CoefficientStream, HaltingEncoded, format_rational
-from .machine import MachineProgram
+from .machine import MachineProgram, _Record
 from .series import (
     EvaluationPoint,
     SeriesProbeReport,
@@ -121,8 +121,7 @@ class DetectorKind(enum.Enum):
     CAUCHY_WINDOW = "cauchy_window"
 
 
-@dataclass(frozen=True)
-class CauchyWindowKnobs:
+class CauchyWindowKnobs(_Record):
     """The Cauchy-window rule; presence of knobs marks a detector as a
     heuristic variant with no correctness claim.
 
@@ -142,6 +141,8 @@ class CauchyWindowKnobs:
             raise ValueError("horizon_scale must be an integer")
         if self.horizon_scale < 1:
             raise ValueError("horizon_scale must be at least 1")
+        if self.horizon_scale > sys.maxsize:  # horizon 1 alone would outgrow any list
+            raise ValueError(f"horizon_scale must be at most {sys.maxsize}")
         if not 0 < self.window_cap <= 1:
             raise ValueError("window_cap must lie in (0, 1]")
         if self.fixed_tolerance is not None:
@@ -160,8 +161,7 @@ class CauchyWindowKnobs:
 _LITERAL_RULE = CauchyWindowKnobs(1, Fraction(1))
 
 
-@dataclass(frozen=True)
-class DetectorProgram:
+class DetectorProgram(_Record):
     """An executable divergence detector over a coefficient stream."""
 
     kind: DetectorKind
@@ -205,8 +205,7 @@ class DetectorProgram:
         )
 
 
-@dataclass(frozen=True)
-class ThresholdCertificate:
+class ThresholdCertificate(_Record):
     """Exact evidence for a threshold halt: ``|partial_sum| > index``."""
 
     index: int
@@ -227,8 +226,7 @@ class ThresholdCertificate:
         ]
 
 
-@dataclass(frozen=True)
-class WindowFailure:
+class WindowFailure(_Record):
     """One failing pair for a window start: ``|S_hi - S_lo| >= tolerance``."""
 
     window_start: int
@@ -237,8 +235,7 @@ class WindowFailure:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class CauchyWindowCertificate:
+class CauchyWindowCertificate(_Record):
     """Evidence for a window halt: every admissible window start fails."""
 
     horizon: int
@@ -263,8 +260,7 @@ class CauchyWindowCertificate:
         ]
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(_Record):
     """The detector halted at ``iteration`` with re-checkable evidence."""
 
     iteration: int
@@ -280,8 +276,7 @@ class Halted:
         return "\n".join(lines + self.certificate.report_lines(kv=True)) + "\n"
 
 
-@dataclass(frozen=True)
-class StillRunning:
+class StillRunning(_Record):
     """Budget (or cancellation) ended the run first.
 
     ``trace`` holds the first few exact partial sums. For threshold runs

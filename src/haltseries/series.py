@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import (
@@ -29,6 +28,7 @@ from .coefficients import (
     format_rational,
     parse_rational,
 )
+from .machine import _Record
 
 __all__ = [
     "EvaluationPoint",
@@ -63,8 +63,7 @@ TRACE_POINTS = 20
 MODULUS_SAMPLE_OFFSETS = (0, 1, 2, 4, 8, 16, 32)
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
+class EvaluationPoint(_Record):
     """The modulus ``|z| >= 0`` at which a series is probed."""
 
     r: Fraction
@@ -94,8 +93,7 @@ class RateFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ExpTailRate(RateFunction):
+class ExpTailRate(RateFunction, _Record):
     """Rate for exponential-type series on ``r <= 1``.
 
     Returns the smallest N with ``2 * r^(N+1) / (N+1)! < 2^-m``, a valid
@@ -124,8 +122,7 @@ class ExpTailRate(RateFunction):
             rhs *= den
 
 
-@dataclass(frozen=True)
-class LinearRate(RateFunction):
+class LinearRate(RateFunction, _Record):
     """``terms_for(m) = slope * m + offset``."""
 
     slope: int
@@ -139,8 +136,7 @@ class LinearRate(RateFunction):
         return self.slope * m + self.offset
 
 
-@dataclass(frozen=True)
-class TabulatedRate(RateFunction):
+class TabulatedRate(RateFunction, _Record):
     """Explicit rows ``(m, r_bound, N)``.
 
     A query (m, r) is served by every row with ``row m >= m`` and
@@ -225,8 +221,7 @@ class Verdict:
     kind = "verdict"
 
 
-@dataclass(frozen=True)
-class WitnessedDivergence(Verdict):
+class WitnessedDivergence(Verdict, _Record):
     """Term ratios crossed the threshold at ``index`` and stayed there
     through every later sampled ratio within the budget."""
 
@@ -237,8 +232,7 @@ class WitnessedDivergence(Verdict):
     kind = "WITNESSED_DIVERGENCE"
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessedBoundViolation(Verdict):
+class WitnessedBoundViolation(Verdict, _Record, eq=False):
     """A claimed bound failed; ``detail`` holds the exact violated values."""
 
     detail: dict
@@ -246,8 +240,7 @@ class WitnessedBoundViolation(Verdict):
     kind = "WITNESSED_BOUND_VIOLATION"
 
 
-@dataclass(frozen=True)
-class ConsistentUpToBudget(Verdict):
+class ConsistentUpToBudget(Verdict, _Record):
     """No witness within the budget. Not a convergence claim."""
 
     budget: int
@@ -255,8 +248,7 @@ class ConsistentUpToBudget(Verdict):
     kind = "CONSISTENT_UP_TO_BUDGET"
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesProbeReport:
+class SeriesProbeReport(_Record, eq=False):
     """Outcome of a budgeted probe.
 
     ``witness`` is an (index, value) pair exactly when the verdict is a
@@ -317,8 +309,7 @@ def _verdict_detail(verdict: Verdict) -> dict:
     return {}
 
 
-@dataclass(frozen=True)
-class RootEstimateReport:
+class RootEstimateReport(_Record):
     """Per-index estimates of ``|a_n|^(1/n)`` plus a limsup proxy.
 
     Estimates carry the documented relative error bound; the proxy is the
@@ -716,7 +707,8 @@ def check_modulus(
     for k, num, den in _sampled_sums(stream, point, indices):
         if k in traced:
             trace.append((k, _reduced(num, den)))
-        gap, scale = abs(num * limit_den - limit_num * den), den * limit_den
+        scaled, scale = (num, den) if limit_den == 1 else (num * limit_den, den * limit_den)
+        gap = abs(scaled - limit_num * den)
         # The least n with gap << n >= scale, that is |S_k - limit| >= 2^-n as den > 0.
         fails_from = max(scale.bit_length() - gap.bit_length(), 0) if gap else best
         if gap and gap << fails_from < scale:

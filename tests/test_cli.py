@@ -863,20 +863,43 @@ def test_a_huge_decimal_exponent_exits_one_at_once(tmp_path):
     )
 
 
+def test_a_horizon_scale_past_any_list_exits_one_at_once(tmp_path):
+    # Horizon 1 alone would need more partial sums than a list can hold; on
+    # `zero` such a run went on until a timeout killed it.
+    spec = series_file(tmp_path, "builtin zero")
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    for scale in (str(sys.maxsize + 1), "1" + "0" * 4402):
+        proc = subprocess.run(
+            [sys.executable, "-m", "haltseries.cli", "detect", spec, "--kind", "cauchy-heuristic",
+             "--horizon-scale", scale, "--budget", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: horizon_scale must be at most {sys.maxsize}\n"
+    assert CauchyWindowKnobs(horizon_scale=sys.maxsize).horizon_scale == sys.maxsize
+
+
 # ---------------------------------------------------------------------------
 # start-up: what each command loads
 # ---------------------------------------------------------------------------
 
+#: Modules no command may load, unless the interpreter had them before the package.
+_SLOW = ("dataclasses", "inspect")
 _LOADED = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('haltseries')),"
-    " file=sys.stderr))\n"
+    "_before = set(sys.modules)\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('haltseries')"
+    f" or m in {_SLOW} and m not in _before), file=sys.stderr))\n"
 )
 
 
 def _modules_loaded(code: str, *argv: str) -> tuple[int, list[str]]:
-    """Run ``code`` in a child with ``argv``; its exit code and the package
-    modules it had loaded at exit."""
+    """Run ``code`` in a child with ``argv``; its exit code, the package
+    modules it had loaded at exit, and each ``_SLOW`` module it loaded after
+    start-up."""
     env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LOADED + code, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -894,7 +917,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, halt_file):
                             (["probe", spec, "--kind", "ratio", "--budget", "10"], 2)):
         code, loaded = _modules_loaded(cli, *argv)
         assert code == exit_code and "haltseries.series" in loaded, argv
-        assert "haltseries.reductions" not in loaded, argv
+        assert "haltseries.reductions" not in loaded and not set(_SLOW) & set(loaded), argv
+    every = ["haltseries", "haltseries.cli", "haltseries.coefficients", "haltseries.machine",
+             "haltseries.reductions", "haltseries.series"]
+    for argv in (["detect", spec, "--kind", "cauchy-heuristic", "--budget", "5"],
+                 ["forward", halt_file, "--input", "0", "--r", "1", "--budget", "5"]):
+        assert _modules_loaded(cli, *argv) == (0, every), argv
     assert _modules_loaded("import haltseries\n") == (0, ["haltseries"])
     # The from-import asks the package for the attribute before it imports the submodule.
     assert _modules_loaded("from haltseries import cli\n") == (0, machine_only)

@@ -5,7 +5,9 @@ Moving or deleting code tends to leave imports and helpers behind; these
 tests find them with the standard library's ``ast``. Another check keeps
 the package from setting the interpreter's int-digit limit: integers
 cross to and from text through ``machine``'s helpers at any length
-instead. The modules form an import chain, ``machine``, ``coefficients``,
+instead. A third keeps ``dataclasses`` and ``inspect`` out of every
+child's start-up: the package's records build on ``machine._Record``.
+The modules form an import chain, ``machine``, ``coefficients``,
 ``series``, ``reductions``, in which each imports only the ones before
 it; ``__init__.py`` loads them along that chain on first use, and the
 last tests hold it to re-exporting each module's ``__all__``, pin that
@@ -122,6 +124,44 @@ def test_int_digit_limit_setters_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_sets_the_int_digit_limit(path):
     assert int_digit_limit_setters(path.read_text()) == []
+
+
+#: Modules that cost a child start-up more than the package uses them for.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def slow_imports(source: str) -> list[int]:
+    """Lines that import a module of ``SLOW_IMPORTS`` (or a name from it),
+    at module level or inside a function, or spell one as a string, so
+    ``importlib`` or ``__import__`` cannot hide the import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            spelled = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            spelled = [node.module]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled = [node.value]
+        else:
+            continue
+        if any(name.split(".")[0] in SLOW_IMPORTS for name in spelled):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_slow_imports_are_found():
+    source = (
+        "import dataclasses\nfrom inspect import signature\nimport os, inspect as i\n"
+        "def f():\n    from dataclasses import dataclass\n    import importlib\n"
+        "    importlib.import_module('inspect')\nfrom .dataclasses import x\n"
+        "'no dataclasses here'\nimport dataclasses_json\n"
+    )
+    assert slow_imports(source) == [1, 2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    assert slow_imports(path.read_text()) == []
 
 
 def package_imports(source: str) -> list[tuple[int, str]]:

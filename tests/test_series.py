@@ -815,6 +815,10 @@ def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max
         # S_k - 2/3 = -(-1/2)^(k+1) * 2/3 has the sign of its shape's denominator
         (NegativeDenominator(), Fraction(2, 3), LinearRate(1, 0), 16, None),
         (NegativeDenominator(), Fraction(2, 3), LinearRate(0, 3), 16, (5, 3)),
+        # An integer limit: |S_3 - 2| = 1/8 first reaches 2^-n at n = 3
+        (builtin_stream("geometric", Fraction(1, 2)), Fraction(2), Zigzag((3,)), 6, (3, 3)),
+        # A non-integer limit: |S_n - 3/2| = 3^-n / 2 stays below 2^-n
+        (builtin_stream("geometric", Fraction(1, 3)), Fraction(3, 2), LinearRate(1, 0), 40, None),
     ],
 )
 def test_check_modulus_fails_first_late_or_never_like_the_reference(

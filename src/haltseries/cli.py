@@ -20,8 +20,8 @@ from pathlib import Path
 # the package when it runs, so ``simulate`` and ``encode`` never load it.
 from .machine import (
     MachineProgram,
+    _factorial_texts,
     _int_text,
-    _int_texts,
     _text_int,
     decode_godel,
     encode_godel,
@@ -80,25 +80,20 @@ def _cmd_simulate(ns) -> int:
 
 
 def _cmd_forward(ns) -> int:
-    from . import (EvaluationPoint, format_rational, forward_reduce, parse_rational,
-                   semidecide_halting_via_series)
+    from . import EvaluationPoint, format_rational, parse_rational, semidecide_halting_via_series
 
     program = _load_program(ns.machine_file)
     point = EvaluationPoint(parse_rational(ns.r))
     report = semidecide_halting_via_series(program, ns.input, point, ns.budget)
-    # a_n is nonzero exactly from the halt step on, so only the run's halt
-    # step is needed to find the first nonzero coefficients.
+    # a_n is n! from the halt step on and 0 before it, so only the run's halt
+    # step is needed to print the first nonzero coefficients.
     outcome = run_bounded(program, ns.input, ns.budget)
     if outcome.halted:
-        coeffs = forward_reduce(program, ns.input)
         shown = range(outcome.steps, min(outcome.steps + 10, ns.budget + 1))
-        # The coefficients are the integers n!, each a small multiple of the
-        # one before, so one pass renders them all from a single conversion.
         # Each text is written as it comes, so only one is held at a time.
-        texts = _int_texts(coeffs.at(n).numerator for n in shown)
         out = sys.stdout
         out.write("coefficients (first nonzero):")
-        for n, text in zip(shown, texts):
+        for n, text in zip(shown, _factorial_texts(shown.start, shown.stop)):
             out.write(f" a_{format_rational(n)}=")
             out.write(text)
         out.write("\n")

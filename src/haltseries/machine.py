@@ -192,29 +192,30 @@ def _int_text(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-def _int_texts(values: Iterable[int]) -> Iterator[str]:
-    """``_int_text`` of each value in turn, each small multiple printed from the one before.
+def _factorial_texts(first: int, stop: int) -> Iterator[str]:
+    """``str(math.factorial(n))`` for ``n = first, ..., stop - 1`` (at least
+    ``first``), one text at a time, never building an integer factorial.
 
-    A value that is ``q`` times the last value converted in ``decimal``, for
-    ``1 <= q < 2**64``, prints as one linear product in the exact context,
-    so n!, (n+1)!, ... cost one full conversion. Trying ``divmod`` only on a
-    gap of at most 64 bits keeps it linear, and ``q >= 1`` keeps the sign,
-    so ``-0`` never prints. It holds one value and one text at a time.
+    ``first!`` is a product tree over ``1..first`` in the exact ``decimal``
+    context, whose leaves are ``math.prod`` of up to 32 factors. libmpdec
+    multiplies large operands by a number-theoretic transform, and only the
+    small leaves are converted from binary (Brent and Zimmermann, *Modern
+    Computer Arithmetic* 1.7 and ch. 4). Each later value is one linear
+    product by ``n``.
     """
-    prev = last = exact = None
-    for value in values:
-        if prev is not None and value.bit_length() <= prev.bit_length() + 64:
-            q, r = divmod(value, prev)
-            if r == 0 and 1 <= q < 2**64:
-                prev, last = value, exact.multiply(last, q)
-                yield str(last)
-                continue
-        text = _int_text(value)
-        if not _str_renders(value.bit_length()):
-            import decimal
+    exact = _exact_context()
 
-            prev, last, exact = value, decimal.Decimal(text), _exact_context()
-        yield text
+    def product(lo: int, hi: int):  # lo * (lo + 1) * ... * (hi - 1)
+        if hi - lo <= 32:
+            return exact.create_decimal(math.prod(range(lo, hi)))
+        mid = (lo + hi) // 2
+        return exact.multiply(product(lo, mid), product(mid, hi))
+
+    value = product(1, first + 1)
+    yield str(value)
+    for n in range(first + 1, stop):
+        value = exact.multiply(value, n)
+        yield str(value)
 
 
 def _text_int(text: str) -> int:

@@ -334,15 +334,15 @@ def _shape_of(stream: CoefficientStream, upto: int):
     return shape_of(upto) if shape_of is not None else None
 
 
-def _running_sums(stream: CoefficientStream, point: EvaluationPoint, first: int = 0):
-    """Yield the exact sums of ``a_j * r^j`` over ``first..n`` for ``n = first,
-    first + 1, ...`` (``S_0, S_1, ...`` from ``first = 0``), reading each
-    coefficient once, in order, via a running power."""
+def _running_sums(terms, point: EvaluationPoint, first: int = 0):
+    """Yield the exact sums of ``a_j * r^j`` over ``first..n`` for each term
+    ``a_n`` of ``terms``, which run ``a_first, a_first+1, ...`` (``S_0, S_1,
+    ...`` from ``first = 0``), reading each term once, in order, via a running
+    power."""
     r = point.r
     total = _ZERO
     power = r ** first
-    for n in itertools.count(first):
-        a = stream.at(n)
+    for a in terms:
         if a:
             total += a * power
         power *= r
@@ -444,7 +444,8 @@ def _sampled_sums(
     shape = _shape_of(stream, indices[-1])
     if shape is None:
         wanted = set(indices)
-        sums = zip(range(first, indices[-1] + 1), _running_sums(stream, point, first))
+        terms = map(stream.at, range(first, indices[-1] + 1))
+        sums = enumerate(_running_sums(terms, point, first), first)
         yield from ((k, s.numerator, s.denominator) for k, s in sums if k in wanted)
         return
     start, (a, b), (c, d), r = max(first, shape.start), shape.num, shape.den, point.r
@@ -468,7 +469,7 @@ def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) ->
 
 def prefix_sums(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> list[Fraction]:
     """All exact partial sums ``S_0..S_upto`` in one incremental pass."""
-    return list(itertools.islice(_running_sums(stream, point), max(upto + 1, 0)))
+    return list(_running_sums(map(stream.at, range(upto + 1)), point))
 
 
 def effective_partial_sum(
@@ -503,29 +504,44 @@ def _trace_indices(budget: int) -> list[int]:
     return picks[:TRACE_POINTS]
 
 
-def _term_ratios(stream: CoefficientStream, upto: int):
-    """Yield ``(n, p, q)`` with ``|a_{n+1} / a_n| = p / q`` and ``q > 0``,
-    for every ``n < upto`` where both terms are nonzero, in order.
+def _term_ratios(terms):
+    """Yield ``(n, p, q)`` with ``|a_{n+1} / a_n| = p / q`` and ``q > 0``, as
+    unreduced cross-products, for every n where both ``a_n`` and ``a_{n+1}``
+    of ``terms`` (``a_0, a_1, ...``) are nonzero, in order."""
+    for n, (current, nxt) in enumerate(itertools.pairwise(terms)):
+        if current and nxt:
+            yield n, abs(nxt.numerator) * current.denominator, abs(current.numerator) * nxt.denominator
 
-    A stream with a term shape gives small integers from its ratio; any
-    other is read term by term and gives unreduced cross-products.
-    """
-    shape = _shape_of(stream, upto)
-    if shape is None:
-        current = stream.at(0)
-        for n in range(upto):
-            nxt = stream.at(n + 1)
-            if current != 0 and nxt != 0:
-                yield (
-                    n,
-                    abs(nxt.numerator) * current.denominator,
-                    abs(current.numerator) * nxt.denominator,
-                )
-            current = nxt
-    else:
-        (a, b), (c, d) = shape.num, shape.den
-        for n in range(shape.start, upto):
-            yield n, abs(a * n + b), abs(c * n + d)
+
+def _run_start(shape, budget: int, scale_p: int, scale_q: int) -> int | None:
+    """The first n of the unbroken run of crossings
+    ``|a*n + b| * scale_p >= |c*n + d| * scale_q`` that ends at ``budget``,
+    within ``[shape.start, budget]``, or ``None`` when ``budget`` misses.
+
+    Both forms are nonzero on the range, and a form ``a*n + b`` with
+    ``a != 0`` changes sign once, at ``k = ceil(-b/a)``. So the cuts inside
+    the range split it into at most three pieces, on each of which both forms
+    keep the signs they have at its left end, and a miss is one linear
+    inequality ``A*n + B < 0``. Walking the pieces from the right, the first
+    with a miss holds the last one, and the run starts one past it."""
+    start = shape.start
+    if start > budget:
+        return None
+    forms = (shape.num, scale_p), (shape.den, -scale_q)
+    cuts = (-(b // a) for (a, b), _ in forms if a)
+    miss, ends = start - 1, sorted({start, budget + 1, *(k for k in cuts if start < k <= budget)})
+    for lo, hi in reversed(list(itertools.pairwise(ends))):
+        A = B = 0  # A*n + B = |a*n + b|*scale_p - |c*n + d|*scale_q on [lo, hi)
+        for (a, b), scale in forms:
+            sign = -1 if a * lo + b < 0 else 1
+            A, B = A + sign * scale * a, B + sign * scale * b
+        if A * (hi - 1) + B < 0:
+            miss = hi - 1
+            break
+        if A > 0 and -(B // A) > lo:  # A*n + B < 0 exactly for n < ceil(-B/A)
+            miss = -(B // A) - 1
+            break
+    return miss + 1 if miss < budget else None
 
 
 def ratio_test_probe(
@@ -542,8 +558,9 @@ def ratio_test_probe(
     which every later sampled ratio (up to the budget) also clears the
     threshold; one large ratio on its own proves nothing. Indices where
     either term vanishes are not sampled and do not interrupt a run.
-    A stream with a term shape is scanned through its exact small-integer
-    ratios, any other term by term; both give the same report.
+    A stream with a term shape finds the witness in closed form from its
+    ratio (:func:`_run_start`), any other is read term by term, each index
+    once; both give the same report.
     """
     threshold = Fraction(threshold)
     if threshold <= 1:
@@ -555,19 +572,27 @@ def ratio_test_probe(
     scale_p = r.numerator * threshold.denominator
     scale_q = threshold.numerator * r.denominator
 
-    # (n, p, q) of the first crossing in the current unbroken run
-    start: tuple[int, int, int] | None = None
-    for n, p, q in _term_ratios(stream, budget + 1):
-        if p * scale_p < q * scale_q:
-            start = None
-        elif start is None:
-            start = (n, p, q)
-
+    shape = _shape_of(stream, budget + 1)
     # The trace covers the first TRACE_POINTS partial sums only; spanning
     # the whole scan would drag enormous exact sums through streams whose
     # terms explode (factorial tails at small r).
-    sums = itertools.islice(_running_sums(stream, point), min(budget + 1, TRACE_POINTS))
-    trace = tuple(enumerate(sums))
+    head = [stream.at(n) for n in range(min(budget + 1, TRACE_POINTS))]
+    trace = tuple(enumerate(_running_sums(head, point)))
+
+    # (n, p, q) of the first crossing in the last unbroken run
+    start: tuple[int, int, int] | None = None
+    if shape is None:
+        terms = itertools.chain(head, map(stream.at, range(len(head), budget + 2)))
+        for n, p, q in _term_ratios(terms):
+            if p * scale_p < q * scale_q:
+                start = None
+            elif start is None:
+                start = (n, p, q)
+    else:
+        n = _run_start(shape, budget, scale_p, scale_q)
+        if n is not None:
+            (a, b), (c, d) = shape.num, shape.den
+            start = (n, abs(a * n + b), abs(c * n + d))
 
     if start is None:
         verdict, witness = ConsistentUpToBudget(budget), None

@@ -12,6 +12,7 @@ import pytest
 import haltseries
 from haltseries import (
     CauchyWindowKnobs,
+    HaltingEncoded,
     build_cauchy_window_detector,
     build_cauchy_window_heuristic,
     build_threshold_detector,
@@ -22,7 +23,6 @@ from haltseries import (
     parse_series_spec,
     run_detector,
 )
-from haltseries import machine
 from haltseries.cli import main
 
 import corpus
@@ -166,33 +166,33 @@ def test_forward_budget_below_halt_step_is_all_zero(three_file, capsys):
     assert out.splitlines()[0] == "coefficients: all zero up to index 2"
 
 
-def test_forward_preview_converts_one_value_and_multiplies_the_rest(tmp_path, capsys,
-                                                                    monkeypatch):
+def test_forward_preview_reads_no_coefficient_and_builds_no_factorial(tmp_path, capsys,
+                                                                      monkeypatch):
     # The doubler halts at step 4x + 2, so at x = 1200 the preview shows
-    # n! from n = 4802 on, every value past the 32768-bit cut to plain str.
+    # n! from n = 4802 on. It prints them from the halt step alone: the only
+    # coefficients read are the semidecision's trace, a_0 .. a_19, once each.
     program = tmp_path / "doubler.m"
     program.write_text("loop: decjz 0 done\ninc 1\ninc 1\ndecjz 2 loop\ndone: halt\n")
-    convert, conversions = machine._int_text, []
-
-    def counted(value):
-        if value.bit_length() > 32768:
-            conversions.append(value)
-        return convert(value)
-
-    monkeypatch.setattr(machine, "_int_text", counted)
     halt = 4802
+    with corpus.int_digit_limit(0):
+        expected = [str(math.factorial(n)) for n in range(halt, halt + 10)]
+    reads, at = [], HaltingEncoded.at
+    monkeypatch.setattr(HaltingEncoded, "at", lambda self, n: reads.append(n) or at(self, n))
+
+    def no_factorial(n):
+        raise AssertionError(f"math.factorial({n}) called")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
     for budget, shown in ((halt + 20, 10), (halt, 1), (halt + 3, 4)):
-        conversions.clear()
+        reads.clear()
         argv = ["forward", str(program), "--input", "1200", "--r", "1", "--budget", str(budget)]
         assert main(argv) == 0
         head, preview = capsys.readouterr().out.splitlines()[0].split(": ", 1)
         assert head == "coefficients (first nonzero)"
         labels, texts = zip(*(item.split("=") for item in preview.split(" ")))
-        indices = range(halt, halt + shown)
-        assert labels == tuple(f"a_{n}" for n in indices)
-        with corpus.int_digit_limit(0):
-            assert texts == tuple(str(math.factorial(n)) for n in indices)
-        assert len(conversions) == 1, budget
+        assert labels == tuple(f"a_{n}" for n in range(halt, halt + shown))
+        assert list(texts) == expected[:shown]
+        assert reads == list(range(20)), budget
 
 
 def test_forward_preview_holds_one_value_text_at_a_time(tmp_path, monkeypatch):

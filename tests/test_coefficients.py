@@ -24,7 +24,7 @@ from haltseries import (
     run_bounded,
 )
 from haltseries import machine
-from haltseries.machine import _int_text, _int_texts, _text_int
+from haltseries.machine import _factorial_texts, _int_text, _text_int
 
 import corpus
 
@@ -291,59 +291,35 @@ def test_int_text_never_rounds(monkeypatch):
     monkeypatch.setattr(decimal, "MAX_PREC", 50)
     with corpus.int_digit_limit(0), pytest.raises(decimal.Inexact):
         _int_text(3 ** 50_000)
-    # So does a chained product, here after str renders the first value.
-    monkeypatch.setattr(machine, "_int_text", str)
-    with corpus.int_digit_limit(0), pytest.raises(decimal.Inexact):
-        list(_int_texts([3 ** 50_000, 2 * 3 ** 50_000]))
+    # So do the factorial texts: 64! has 76 digits before its trailing
+    # zeros, and so has the product tree's top product.
+    with pytest.raises(decimal.Inexact):
+        next(_factorial_texts(64, 65))
+    # 41! fits in 50 digits, and the linear products round from 48! on,
+    # which has 52 digits before its trailing zeros.
+    with pytest.raises(decimal.Inexact):
+        list(_factorial_texts(41, 49))
 
 
-# A start value on either side of the 32768-bit cut, then steps from the
-# value before: a product by a factor below 2**64 (chained), by a larger
-# factor, by zero or a negative factor (sign flips), a non-multiple
-# prev * q + 1, a far larger value, or an unrelated value.
-_steps = st.one_of(
-    st.tuples(st.just("times"), st.integers(1, 2 ** 64 - 1)),
-    st.tuples(st.just("times"), st.integers(2 ** 64, 2 ** 200)),
-    st.tuples(st.just("times"), st.integers(-(2 ** 64), 0)),
-    st.tuples(st.just("plus_one"), st.integers(1, 2 ** 64 - 1)),
-    st.tuples(st.just("shift"), st.integers(65, 40_000)),
-    st.tuples(st.just("fresh"), st.integers(-(2 ** 40_000), 2 ** 40_000)),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 60_000), st.integers(0, 2 ** 32), st.sampled_from((1, -1)),
-       st.lists(_steps, max_size=8))
-@example(40_000, 1, 1, [("times", 7), ("plus_one", 3), ("times", 2 ** 63)])  # not a multiple
-@example(40_000, 1, -1, [("times", 0), ("times", 5)])  # through zero, after a negative value
-@example(40_000, 1, 1, [("times", 0), ("plus_one", 1), ("times", 3)])
-@example(32_760, 1, 1, [("times", 2 ** 10), ("times", -3), ("shift", 50_000)])
-def test_int_texts_matches_int_text(bits, seed, sign, steps):
-    values = [sign * random.Random(seed).getrandbits(bits)]
-    for op, arg in steps:
-        prev = values[-1]
-        values.append({"times": lambda: prev * arg, "plus_one": lambda: prev * arg + 1,
-                       "shift": lambda: prev << arg, "fresh": lambda: arg}[op]())
-    expected = [plain_str(value) for value in values]
+# Every first value from 0 to 3000 takes the same path: no cut to plain str
+# remains. The examples sit at the 32-factor leaves' edges, at the largest
+# drawn value and far past it.
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3000), st.integers(1, 10))
+@example(0, 10)
+@example(31, 3)
+@example(32, 1)
+@example(33, 1)
+@example(64, 2)
+@example(65, 1)
+@example(3000, 1)
+@example(40_000, 2)
+def test_factorial_texts_match_str_of_factorial(first, count):
+    with corpus.int_digit_limit(0):
+        expected = [str(math.factorial(n)) for n in range(first, first + count)]
     for limit in (0, 640, sys.get_int_max_str_digits()):
         with corpus.int_digit_limit(limit):
-            assert list(_int_texts(values)) == [_int_text(value) for value in values] == expected
-
-
-def test_int_texts_divides_only_across_a_small_gap(monkeypatch):
-    # A value more than 64 bits past the last one is never divided by it,
-    # which keeps each trial division linear in the size of the values.
-    divisions = []
-    monkeypatch.setattr(machine, "divmod", lambda a, b: divisions.append(b) or divmod(a, b),
-                        raising=False)
-    base = 3 ** 30_000
-    with corpus.int_digit_limit(0):
-        far = [base, base ** 2, base ** 2 << 65]
-        assert list(_int_texts(far)) == [str(value) for value in far]
-        assert divisions == []
-        near = [base, base << 64, 7 * base << 64]
-        assert list(_int_texts(near)) == [str(value) for value in near]
-        assert divisions == [base, base << 64]
+            assert list(_factorial_texts(first, first + count)) == expected
 
 
 # 640 is the smallest limit the interpreter accepts; at 10,000 digits the

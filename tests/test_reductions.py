@@ -148,6 +148,25 @@ def test_semidecision_memory_is_flat_at_budget_1e5():
     assert int(peak_kb) / 2 ** 10 < 64
 
 
+def test_semidecision_witness_at_x_1e12_costs_o1_beyond_the_run():
+    # The doubler halts at step 4x + 2 after O(1) loop exits, and the ratio
+    # probe finds the witness of the shaped stream in closed form, so a
+    # budget of 10^13 finishes at once. The child's timeout fails the test.
+    code = (
+        "from fractions import Fraction\n"
+        "from haltseries import EvaluationPoint, parse_program, semidecide_halting_via_series\n"
+        "doubler = parse_program('loop: decjz 0 done\\ninc 1\\ninc 1\\ndecjz 2 loop\\ndone: halt')\n"
+        "point = EvaluationPoint(Fraction(1, 2))\n"
+        "print(*semidecide_halting_via_series(doubler, 10 ** 12, point, 10 ** 13).witness)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    h = 4 * 10 ** 12 + 2
+    assert proc.stdout.split() == [str(h), f"{h + 1}/2"]
+
+
 def test_forward_reduce_then_ratio_probe_witnesses_divergence():
     program = parse_program("inc 0\ninc 0\nhalt")
     stream = forward_reduce(program, 0)

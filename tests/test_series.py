@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from haltseries import (
     CoefficientStream,
@@ -100,12 +100,14 @@ def test_prefix_sums_match_partial_sum():
 
 
 class AtOnly:
-    """A stream that defines only ``at``: the generic, term-by-term path."""
+    """A stream that defines only ``at``: the generic, term-by-term path. It
+    records each index read."""
 
     def __init__(self, stream):
-        self.stream = stream
+        self.stream, self.reads = stream, []
 
     def at(self, n):
+        self.reads.append(n)
         return self.stream.at(n)
 
 
@@ -531,24 +533,98 @@ def test_ratio_probe_witness_recheck_from_scratch():
             assert abs(b) * point.r / abs(a) >= report.verdict.threshold
 
 
+thresholds = st.fractions(1, 5, max_denominator=9).filter(lambda t: t > 1)
+
+
+@st.composite
+def shaped_cases(draw, max_budget):
+    """``(Shaped stream, point, threshold, budget)``. Each form is
+    ``k * (2a*n + e - 2a*m)``, never zero at an integer, with a leading
+    coefficient of any sign or zero and its sign change, if any, near m, drawn
+    around ``[start, budget]``; starts run past the budget. Half the cases put
+    a tie at some n: the ratio there times r is the threshold exactly."""
+    budget = draw(st.integers(1, max_budget))
+    start = draw(st.integers(0, budget + 3))
+
+    def form():
+        a, e, k = draw(st.integers(-4, 4)), draw(st.sampled_from((-1, 1))), draw(st.integers(1, 3))
+        m = draw(st.integers(start - 3, budget + 3))
+        return 2 * a * k, (e - 2 * a * m) * k
+
+    num, den = form(), form()
+    lead = draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+    threshold, r = draw(thresholds), draw(st.fractions(0, 4, max_denominator=9))
+    if draw(st.booleans()):
+        n = draw(st.integers(start, max(start, budget)))
+        r = threshold * abs(den[0] * n + den[1]) / abs(num[0] * n + num[1])
+    return Shaped(start, lead, num, den), EvaluationPoint(r), threshold, budget
+
+
 @given(
     st.one_of(
-        corpus.builtin_streams(),
-        st.tuples(corpus.programs(), st.integers(0, 5)).map(
-            lambda args: HaltingEncoded(*args)
+        st.tuples(
+            st.one_of(
+                corpus.builtin_streams(),
+                st.tuples(corpus.programs(), st.integers(0, 5)).map(
+                    lambda args: HaltingEncoded(*args)
+                ),
+            ),
+            st.fractions(0, 4, max_denominator=9).map(EvaluationPoint),
+            thresholds,
+            st.integers(1, 80),
         ),
-    ),
-    st.fractions(0, 4, max_denominator=9),
-    st.fractions(1, 5, max_denominator=9).filter(lambda t: t > 1),
-    st.integers(1, 80),
+        shaped_cases(80),
+    )
 )
-@settings(deadline=None)
-def test_ratio_probe_term_shape_path_matches_generic_path(stream, r, threshold, budget):
-    point = EvaluationPoint(r)
+@settings(max_examples=200, deadline=None)
+def test_ratio_probe_term_shape_path_matches_generic_path(case):
+    stream, point, threshold, budget = case
     fast = ratio_test_probe(stream, point, threshold, budget)
     generic = ratio_test_probe(AtOnly(stream), point, threshold, budget)
     assert fast.to_text() == generic.to_text()
     assert fast.to_kv() == generic.to_kv()
+
+
+def scanned_witness(shape, point, threshold, budget):
+    """The shaped scan the closed form replaced, kept as its reference: the
+    first ``(n, ratio)`` of the last unbroken run of crossings, or ``None``."""
+    (a, b), (c, d), r = shape.num, shape.den, point.r
+    scale_p, scale_q = r.numerator * threshold.denominator, threshold.numerator * r.denominator
+    run = None
+    for n in range(shape.start, budget + 1):
+        p, q = abs(a * n + b), abs(c * n + d)
+        if p * scale_p < q * scale_q:
+            run = None
+        elif run is None:
+            run = (n, Fraction(p, q) * r)
+    return run
+
+
+@given(shaped_cases(10 ** 4))
+@settings(max_examples=300, deadline=None)
+# A tie at the last index and at a piece's end; both forms changing sign.
+@example((Shaped(0, Fraction(1), (2, -9), (0, 1)), EvaluationPoint(Fraction(2, 3)), Fraction(2), 6))
+@example((Shaped(0, Fraction(1), (2, -9), (0, 1)), EvaluationPoint(Fraction(2)), Fraction(2), 10))
+@example((Shaped(2, Fraction(-1), (-2, 21), (4, -17)), EvaluationPoint(Fraction(1)), Fraction(3, 2), 30))
+def test_ratio_probe_closed_form_matches_the_scan(case):
+    stream, point, threshold, budget = case
+    report = ratio_test_probe(stream, point, threshold, budget)
+    assert report.witness == scanned_witness(stream.term_shape(budget), point, threshold, budget)
+    if report.witness is None:
+        assert report.verdict == ConsistentUpToBudget(budget)
+    else:
+        assert (report.verdict.index, report.verdict.ratio) == report.witness
+
+
+@pytest.mark.parametrize("budget", [1, 18, 19, 20, 21, 100])
+@pytest.mark.parametrize("stream", [builtin_stream("harmonic"), builtin_stream("factorial_tail", 3),
+                                    builtin_stream("geometric", Fraction(-3, 2))])
+def test_ratio_probe_reads_each_index_of_an_at_only_stream_once(stream, budget):
+    # The scan reads a_0 .. a_{budget+1}; the trace sums its first 20.
+    counted = AtOnly(stream)
+    report = ratio_test_probe(counted, HALF, Fraction(2), budget)
+    assert counted.reads == list(range(budget + 2))
+    assert report.to_text() == ratio_test_probe(stream, HALF, Fraction(2), budget).to_text()
 
 
 def test_sums_and_probes_reject_out_of_range_bounds():

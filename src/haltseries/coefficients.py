@@ -38,17 +38,19 @@ _MINUS_ONE = Fraction(-1)
 _APPROX_DIGITS = 12
 
 
-def _factorial(stream, n: int) -> int:
-    """``n!`` through ``stream``'s private ``(k, k!)`` cursor.
+def _cursor_read(stream, n: int, step, jump):
+    """``f(n)`` through ``stream``'s private ``(k, f(k))`` cursor, where
+    ``f(k + 1) = f(k) * step`` and ``jump(n) = f(n)``: ``n!`` with ``step``
+    ``n`` and ``math.factorial``, ``r^n`` with ``r`` and ``r.__pow__``.
 
     A read at the cursor costs nothing, a read just past it one
-    multiplication, any other read one ``math.factorial`` call; the cursor
-    then moves to ``n``. It is replaced as one tuple, so concurrent readers
-    always see a consistent pair.
+    multiplication, any other read one ``jump``; the cursor then moves to
+    ``n``. It is replaced as one tuple, so concurrent readers always see a
+    consistent pair.
     """
     k, value = stream._cursor
     if n != k:
-        value = value * n if n == k + 1 else math.factorial(n)
+        value = value * step if n == k + 1 else jump(n)
         object.__setattr__(stream, "_cursor", (n, value))
     return value
 
@@ -119,7 +121,7 @@ class HaltingEncoded(CoefficientStream):
 
     def at(self, n: int) -> Fraction:
         halted = self._halt_step_within(n) is not None
-        return Fraction(_factorial(self, n)) if halted else _ZERO
+        return Fraction(_cursor_read(self, n, n, math.factorial)) if halted else _ZERO
 
     def term_shape(self, upto: int) -> TermShape:
         """Zero below the halt step, ``n!`` (ratio ``n + 1``) from it on."""
@@ -170,7 +172,8 @@ class BuiltinStream(CoefficientStream, _Record):
             p = self.params[0]
             if p.denominator != 1 or p < 0:
                 raise ValueError("factorial_tail requires a natural-number start index")
-        object.__setattr__(self, "_cursor", (0, 1))
+        geometric = self.builtin_id is BuiltinId.GEOMETRIC
+        object.__setattr__(self, "_cursor", (0, _ONE if geometric else 1))
 
     def at(self, n: int) -> Fraction:
         b = self.builtin_id
@@ -183,11 +186,12 @@ class BuiltinStream(CoefficientStream, _Record):
         if b is BuiltinId.ALTERNATING:
             return _ONE if n % 2 == 0 else _MINUS_ONE
         if b is BuiltinId.RECIPROCAL_FACTORIAL:
-            return Fraction(1, _factorial(self, n))
+            return Fraction(1, _cursor_read(self, n, n, math.factorial))
         if b is BuiltinId.FACTORIAL_TAIL:
             start = int(self.params[0])
-            return Fraction(_factorial(self, n)) if n >= start else _ZERO
-        return self.params[0] ** n  # geometric
+            return Fraction(_cursor_read(self, n, n, math.factorial)) if n >= start else _ZERO
+        r = self.params[0]  # geometric
+        return _cursor_read(self, n, r, r.__pow__)
 
     def term_shape(self, upto: int) -> TermShape | None:
         """Every builtin but ``geometric 0`` is hypergeometric. Only

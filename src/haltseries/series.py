@@ -377,6 +377,14 @@ def _split(
     up to ``_LEAF_TERMS`` terms extend ``acc`` by ``P*p(j), Q*q(j), (T + P)*q(j)``
     each. No merge reads the rightmost ``P``, so with ``keep_p`` false it is
     not formed and ``None`` stands in its place.
+
+    A triple may be divided by any common factor. When both forms are
+    non-constant (``p[0]`` and ``q[0]`` nonzero, as for ``harmonic``), ``P``
+    and ``Q`` are products of nearby integers that share most of their
+    primes, so each merge divides its triple (``Q`` and ``T`` on the right
+    spine) by their gcd, and the sum's parts stay near the size of the
+    reduced value. With a constant form little cancels and the gcds would
+    be wasted, so such triples, like the leaf recurrence, take none.
     """
     big_p, big_q, big_t = acc
     if b - a <= _LEAF_TERMS:
@@ -388,13 +396,22 @@ def _split(
                 big_p *= p0 * j + p1
         return (big_p if keep_p else None), big_q, big_t
     m = (a + b) // 2
-    p1, q1, t1 = _split(p, q, a, m)
-    p2, q2, t2 = _split(p, q, m, b, keep_p=keep_p)
-    whole = (p1 * p2 if keep_p else None), q1 * q2, t1 * q2 + p1 * t2
-    if acc == _EMPTY:
-        return whole
-    p2, q2, t2 = whole
-    return (big_p * p2 if keep_p else None), big_q * q2, big_t * q2 + big_p * t2
+    cancel = p[0] and q[0]
+    whole = _merge(_split(p, q, a, m), _split(p, q, m, b, keep_p=keep_p), cancel)
+    return whole if acc == _EMPTY else _merge(acc, whole, cancel)
+
+
+def _merge(left, right, cancel):
+    """The :func:`_split` triple of two adjacent ranges, ``P`` being ``None``
+    when ``right``'s is; with ``cancel`` it is divided by its common gcd."""
+    (p1, q1, t1), (p2, q2, t2) = left, right
+    big_p, big_q, big_t = (None if p2 is None else p1 * p2), q1 * q2, t1 * q2 + p1 * t2
+    if cancel:
+        g = math.gcd(big_q, big_t) if big_p is None else math.gcd(big_p, big_q, big_t)
+        if g != 1:
+            big_q, big_t = _exact_quotient(big_q, g), _exact_quotient(big_t, g)
+            big_p = None if big_p is None else _exact_quotient(big_p, g)
+    return big_p, big_q, big_t
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -438,7 +455,8 @@ def _sampled_sums(
     shaped stream reads only ``a_start``, ``start = max(first, shape.start)``:
     the sum is ``T / Q`` for the :func:`_split` triple over ``[start, k + 1)``
     from ``P / Q = a_start * r^start`` and ``T = 0``, extended one segment per
-    index with no gcd; the last segment forms no ``P``. Any other stream is
+    index, whose merges cancel as :func:`_split` says; the last segment forms
+    no ``P``. Any other stream is
     summed term by term from ``first``. :func:`_reduced` turns a result into
     a ``Fraction``."""
     shape = _shape_of(stream, indices[-1])

@@ -132,7 +132,7 @@ def test_concurrent_reads_are_consistent():
         results = list(pool.map(stream.at, range(400)))
     assert results == [0] * 400
     # Each of 8 threads reads every index in its own shuffled order, so
-    # reads at, just past and away from the shared factorial cursor interleave.
+    # reads at, just past and away from the shared cursor interleave.
     cases = [
         (
             HaltingEncoded(parse_program("inc 0\ninc 0\nhalt"), 0),
@@ -140,6 +140,9 @@ def test_concurrent_reads_are_consistent():
         ),
         (builtin_stream("factorial_tail", 7), lambda n: math.factorial(n) if n >= 7 else 0),
         (builtin_stream("reciprocal_factorial"), lambda n: Fraction(1, math.factorial(n))),
+    ] + [
+        (builtin_stream("geometric", r), lambda n, r=r: r ** n)
+        for r in (Fraction(0), Fraction(-1, 2), Fraction(7, 3))
     ]
     orders = [random.Random(seed).sample(range(300), 300) for seed in range(8)]
     interval = sys.getswitchinterval()
@@ -155,6 +158,27 @@ def test_concurrent_reads_are_consistent():
                 assert all(value == expected(n) for n, value in thread_reads)
     finally:
         sys.setswitchinterval(interval)
+
+
+@st.composite
+def read_orders(draw):
+    """Indices read in turn: repeats, steps just past the last one, steps
+    back and jumps either way."""
+    n, order = 0, []
+    for move in draw(st.lists(st.one_of(st.sampled_from([0, 1, 1, 1, -1]), st.integers(-40, 40)))):
+        n = max(n + move, 0)
+        order.append(n)
+    return order
+
+
+@given(st.fractions(-3, 3, max_denominator=9), read_orders())
+@example(Fraction(0), [0, 1, 2, 0, 1])
+@example(Fraction(-1, 2), [3, 4, 4, 5, 2, 3, 40, 41])
+def test_geometric_reads_in_any_order_are_powers(r, order):
+    stream = builtin_stream("geometric", r)
+    for n in order:
+        value = stream.at(n)
+        assert type(value) is Fraction and value == r ** n, (n, order)
 
 
 def assert_shape_matches_terms(stream, upto):

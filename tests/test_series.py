@@ -33,6 +33,7 @@ from haltseries import (
 )
 
 import corpus
+from haltseries import series
 from haltseries.coefficients import TermShape
 from haltseries.series import (
     MODULUS_SAMPLE_OFFSETS,
@@ -291,6 +292,69 @@ def test_sampled_sums_match_a_running_fraction_sum(case):
             assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
     if first == 0:
         assert partial_sum(stream, EvaluationPoint(r), indices[-1]) == total
+
+
+#: Indices sampled at once for each N: segments of one term, of up to 16
+#: (the one-term recurrence) and longer ones, which merge into the sum so far.
+HARMONIC_SAMPLES = {600: [0, 17, 40, 41, 333, 600], 5000: [5, 100, 1200, 1217, 4000, 5000]}
+
+
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(1, 3), Fraction(7, 5)])
+def test_cancelled_harmonic_sums_match_a_running_fraction_sum(r):
+    stream, point = builtin_stream("harmonic"), EvaluationPoint(r)
+    expected, total, power = {}, Fraction(0), Fraction(1)
+    for j in range(max(HARMONIC_SAMPLES) + 1):
+        total += Fraction(power, j + 1)
+        power *= r
+        expected[j] = total
+    for upto, indices in HARMONIC_SAMPLES.items():
+        assert partial_sum(stream, point, upto) == expected[upto]
+        got = list(_sampled_sums(stream, point, indices))
+        assert [k for k, _, _ in got] == indices
+        for k, num, den in got:
+            assert den > 0 and Fraction(num, den) == expected[k], (upto, k)
+
+
+def test_cancelled_harmonic_sum_holds_operands_near_its_size():
+    ((_, num, den),) = _sampled_sums(builtin_stream("harmonic"), UNIT, [20000])
+    reduced = _reduced(num, den).denominator
+    assert reduced.bit_length() == 28821
+    assert den.bit_length() < 2 * reduced.bit_length()
+
+
+class CountingGcd:
+    """Stands in for ``series``' ``math`` module and counts ``gcd`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.calls += 1
+        return math.gcd(*args)
+
+
+@pytest.mark.parametrize(
+    "stream, r",
+    [
+        (builtin_stream("reciprocal_factorial"), Fraction(1)),
+        (builtin_stream("reciprocal_factorial"), Fraction(2, 3)),
+        (builtin_stream("geometric", Fraction(2, 3)), Fraction(1)),
+        (builtin_stream("factorial_tail", 15), Fraction(1, 3)),
+        (HaltingEncoded(parse_program("inc 0\ninc 0\nhalt"), 0), Fraction(1, 2)),
+        (builtin_stream("alternating"), Fraction(3, 2)),
+        (builtin_stream("harmonic"), Fraction(0)),  # p(j) = 0*j + 0 at r = 0
+    ],
+)
+def test_only_shapes_with_two_linear_forms_cancel_as_they_merge(monkeypatch, stream, r):
+    counter = CountingGcd()
+    monkeypatch.setattr(series, "math", counter)
+    partial_sum(stream, EvaluationPoint(r), 5000)
+    assert counter.calls == 1  # the final reduction only
+    partial_sum(builtin_stream("harmonic"), UNIT, 5000)
+    assert counter.calls > 2  # the counter sees the merges that cancel
 
 
 def quotient_cases():

@@ -27,8 +27,9 @@ degenerate, plus clearly-labeled heuristic variants.
   correctness claim.
 
 Detector outcomes carry exact certificates that re-check by independent
-recomputation of the cited partial sums under the runner's own rule, and
-render themselves as the CLI prints them (``to_text`` and ``to_kv``).
+recomputation of the cited partial sums under the runner's own rule.
+Each outcome gives its ``report_lines(kv)`` and renders, as the CLI prints
+it, through the one base ``series._Report`` (``to_text`` and ``to_kv``).
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ from .series import (
     EvaluationPoint,
     SeriesProbeReport,
     TRACE_POINTS,
+    _Report,
     _reduced,
     _sampled_sums,
     exact_line,
     partial_sum,
     prefix_sums,
     ratio_test_probe,
-    trace_lines,
 )
 
 __all__ = [
@@ -260,23 +261,23 @@ class CauchyWindowCertificate(_Record):
         ]
 
 
-class Halted(_Record):
+class Halted(_Report, _Record):
     """The detector halted at ``iteration`` with re-checkable evidence."""
 
     iteration: int
     certificate: Union[ThresholdCertificate, CauchyWindowCertificate]
     halted = True  # unannotated, so a class constant and not a field
+    trace = ()  # the certificate cites its own partial sums
 
-    def to_text(self) -> str:
-        lines = [f"verdict: HALTED at iteration {format_rational(self.iteration)}"]
-        return "\n".join(lines + self.certificate.report_lines(kv=False)) + "\n"
+    def report_lines(self, kv: bool) -> list[str]:
+        """The verdict and iteration, then the certificate's lines."""
+        iteration = format_rational(self.iteration)
+        lines = (["verdict=HALTED", f"iteration={iteration}"] if kv
+                 else [f"verdict: HALTED at iteration {iteration}"])
+        return lines + self.certificate.report_lines(kv)
 
-    def to_kv(self) -> str:
-        lines = ["verdict=HALTED", f"iteration={format_rational(self.iteration)}"]
-        return "\n".join(lines + self.certificate.report_lines(kv=True)) + "\n"
 
-
-class StillRunning(_Record):
+class StillRunning(_Report, _Record):
     """Budget (or cancellation) ended the run first.
 
     ``trace`` holds the first few exact partial sums. For threshold runs
@@ -292,28 +293,22 @@ class StillRunning(_Record):
     witness_log: tuple[tuple[int, int], ...] = ()
     halted = False
 
-    def to_text(self) -> str:
-        lines = [f"verdict: STILL_RUNNING after {format_rational(self.budget)} iterations"]
+    def report_lines(self, kv: bool) -> list[str]:
+        """The verdict, the final sum's enclosure and, in text, the witness log."""
+        budget = format_rational(self.budget)
+        lines = (["verdict=STILL_RUNNING", f"iterations={budget}"] if kv
+                 else [f"verdict: STILL_RUNNING after {budget} iterations"])
         if self.final_bounds is not None:
-            lo, hi = self.final_bounds
-            lines.append(
-                f"final sum enclosure: [{format_rational(lo)}, {format_rational(hi)}]"
-            )
-        if self.witness_log:
+            lo, hi = map(format_rational, self.final_bounds)
+            lines += ([f"final_sum_lower={lo}", f"final_sum_upper={hi}"] if kv
+                      else [f"final sum enclosure: [{lo}, {hi}]"])
+        if self.witness_log and not kv:
             first, last = (" -> ".join(map(format_rational, self.witness_log[i])) for i in (0, -1))
             lines.append(
                 f"window witnesses: start {first}, ..., start {last} "
                 f"({len(self.witness_log)} recorded)"
             )
-        return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
-
-    def to_kv(self) -> str:
-        lines = ["verdict=STILL_RUNNING", f"iterations={format_rational(self.budget)}"]
-        if self.final_bounds is not None:
-            lo, hi = self.final_bounds
-            lines.append(f"final_sum_lower={format_rational(lo)}")
-            lines.append(f"final_sum_upper={format_rational(hi)}")
-        return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
+        return lines
 
 
 def build_threshold_detector(stream: CoefficientStream) -> DetectorProgram:

@@ -231,6 +231,11 @@ class WitnessedDivergence(Verdict, _Record):
 
     kind = "WITNESSED_DIVERGENCE"
 
+    @property
+    def detail(self) -> dict:
+        """The crossing ratio and the threshold it crossed."""
+        return {"ratio": self.ratio, "threshold": self.threshold}
+
 
 class WitnessedBoundViolation(Verdict, _Record, eq=False):
     """A claimed bound failed; ``detail`` holds the exact violated values."""
@@ -246,9 +251,21 @@ class ConsistentUpToBudget(Verdict, _Record):
     budget: int
 
     kind = "CONSISTENT_UP_TO_BUDGET"
+    detail = {}  # unannotated, so a class constant and not a field
 
 
-class SeriesProbeReport(_Record, eq=False):
+class _Report:
+    """Base of the outcomes the CLI prints: a subclass gives ``report_lines(kv)``
+    and a ``trace``, and this renders both as text or as ``key=value`` lines."""
+
+    def to_text(self) -> str:
+        return "\n".join(self.report_lines(False) + trace_lines(self.trace, False)) + "\n"
+
+    def to_kv(self) -> str:
+        return "\n".join(self.report_lines(True) + trace_lines(self.trace, True)) + "\n"
+
+
+class SeriesProbeReport(_Report, _Record, eq=False):
     """Outcome of a budgeted probe.
 
     ``witness`` is an (index, value) pair exactly when the verdict is a
@@ -265,25 +282,20 @@ class SeriesProbeReport(_Record, eq=False):
         if has_witness != (self.witness is not None):
             raise ValueError("witness must be present iff the verdict is a witness")
 
-    def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict.kind}", f"budget: {format_rational(self.budget_used)}"]
+    def report_lines(self, kv: bool) -> list[str]:
+        """The verdict, the budget, the witness and the verdict's detail."""
+        sep = "=" if kv else ": "
+        lines = [f"verdict{sep}{self.verdict.kind}", f"budget{sep}{format_rational(self.budget_used)}"]
         if self.witness is not None:
             index, value = self.witness
-            lines.append(f"witness index: {format_rational(index)}")
-            lines.append(exact_line("witness value", value))
-        for key, value in sorted(_verdict_detail(self.verdict).items()):
-            lines.append(f"{key}: {format_rational(value)}")
-        return "\n".join(lines + trace_lines(self.trace, kv=False)) + "\n"
-
-    def to_kv(self) -> str:
-        lines = [f"verdict={self.verdict.kind}", f"budget={format_rational(self.budget_used)}"]
-        if self.witness is not None:
-            index, value = self.witness
-            lines.append(f"witness_index={format_rational(index)}")
-            lines.append(f"witness_value={format_rational(value)}")
-        for key, value in sorted(_verdict_detail(self.verdict).items()):
-            lines.append(f"{key}={format_rational(value)}")
-        return "\n".join(lines + trace_lines(self.trace, kv=True)) + "\n"
+            if kv:
+                lines += [f"witness_index={format_rational(index)}",
+                          f"witness_value={format_rational(value)}"]
+            else:
+                lines += [f"witness index: {format_rational(index)}",
+                          exact_line("witness value", value)]
+        details = sorted(self.verdict.detail.items())
+        return lines + [f"{key}{sep}{format_rational(value)}" for key, value in details]
 
 
 def exact_line(label: str, value: Fraction) -> str:
@@ -299,14 +311,6 @@ def trace_lines(trace: tuple[tuple[int, Fraction], ...], kv: bool) -> list[str]:
         return []
     lines = [f"  S_{format_rational(n)} = {format_rational(s)}" for n, s in trace]
     return [f"trace (first {len(trace)}):"] + lines
-
-
-def _verdict_detail(verdict: Verdict) -> dict:
-    if isinstance(verdict, WitnessedDivergence):
-        return {"ratio": verdict.ratio, "threshold": verdict.threshold}
-    if isinstance(verdict, WitnessedBoundViolation):
-        return dict(verdict.detail)
-    return {}
 
 
 class RootEstimateReport(_Record):

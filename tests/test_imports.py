@@ -7,6 +7,9 @@ the package from setting the interpreter's int-digit limit: integers
 cross to and from text through ``machine``'s helpers at any length
 instead. A third keeps ``dataclasses`` and ``inspect`` out of every
 child's start-up: the package's records build on ``machine._Record``.
+A fourth keeps one way to render an outcome: only ``series._Report``
+defines ``to_text`` and ``to_kv``, and each class built on it gives its
+``report_lines``.
 The modules form an import chain, ``machine``, ``coefficients``,
 ``series``, ``reductions``, in which each imports only the ones before
 it; ``__init__.py`` loads them along that chain on first use, and the
@@ -162,6 +165,64 @@ def test_slow_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_dataclasses_or_inspect(path):
     assert slow_imports(path.read_text()) == []
+
+
+#: The renderers that only ``series._Report`` defines.
+RENDERERS = ("to_text", "to_kv")
+
+
+def report_renderers(source: str) -> tuple[list[str], dict[str, bool]]:
+    """Where ``source`` defines or assigns a name of ``RENDERERS``, as a
+    dotted scope, and for each class built directly on ``_Report`` whether
+    its body defines ``report_lines``."""
+    renderers, outcomes = [], {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            spelled = [getattr(child, key, None) for key in ("name", "attr", "id")]
+            stored = isinstance(getattr(child, "ctx", None), ast.Store)
+            if isinstance(child, ast.FunctionDef) or stored:
+                renderers.extend(".".join(scope + (name,)) for name in RENDERERS if name in spelled)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if "_Report" in [getattr(base, "id", None) for base in getattr(child, "bases", ())]:
+                    body = [getattr(item, "name", None) for item in child.body]
+                    outcomes[child.name] = "report_lines" in body
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return renderers, outcomes
+
+
+def test_report_renderers_are_found():
+    source = (
+        "class _Report:\n    def to_text(self): pass\n"
+        "class A(_Report):\n    def report_lines(self, kv): pass\n"
+        "class B(_Report, _Record):\n    def to_kv(self): pass\n"
+        "class C(A):\n    to_text = A.to_text\n"
+        "def to_kv(report): pass\n"
+        "def patch(cls):\n    cls.to_text = None\n"
+    )
+    assert report_renderers(source) == (
+        ["_Report.to_text", "B.to_kv", "C.to_text", "to_kv", "patch.to_text"],
+        {"A": True, "B": False},
+    )
+
+
+def test_only_the_report_base_renders_and_each_outcome_gives_its_lines():
+    # One renderer: the outcomes give report_lines, and per-format pairs stay gone.
+    from haltseries.series import _Report
+
+    renderers, outcomes = [], {}
+    for path in MODULES:
+        found, built = report_renderers(path.read_text())
+        renderers += [f"{path.stem}.{name}" for name in found]
+        outcomes.update(built)
+    assert sorted(renderers) == ["series._Report.to_kv", "series._Report.to_text"]
+    assert outcomes == dict.fromkeys(["SeriesProbeReport", "Halted", "StillRunning"], True)
+    # The walk sees every subclass: none is built on an alias of _Report.
+    assert outcomes.keys() == {cls.__name__ for cls in _Report.__subclasses__()}
 
 
 def package_imports(source: str) -> list[tuple[int, str]]:

@@ -103,7 +103,7 @@ def _cmd_forward(ns) -> int:
 
 
 def _cmd_detect(ns) -> int:
-    from . import (CauchyWindowKnobs, build_cauchy_window_detector, build_cauchy_window_heuristic,
+    from . import (build_cauchy_window_detector, build_cauchy_window_heuristic,
                    build_threshold_detector, parse_rational, run_detector)
 
     stream = _load_stream(ns.series_file)
@@ -112,13 +112,12 @@ def _cmd_detect(ns) -> int:
     elif ns.kind == "cauchy":
         detector = build_cauchy_window_detector(stream)
     else:
-        tolerance = parse_rational(ns.tolerance) if ns.tolerance else None
-        defaults = CauchyWindowKnobs  # the owner of the unset flags' values
-        scale = defaults.horizon_scale if ns.horizon_scale is None else ns.horizon_scale
-        cap = defaults.window_cap if ns.window_cap is None else parse_rational(ns.window_cap)
-        detector = build_cauchy_window_heuristic(
-            stream, horizon_scale=scale, window_cap=cap, fixed_tolerance=tolerance
-        )
+        # Only the knobs given are passed: ``CauchyWindowKnobs`` fills the rest.
+        texts = {"fixed_tolerance": ns.tolerance, "window_cap": ns.window_cap}
+        knobs = {name: parse_rational(text) for name, text in texts.items() if text is not None}
+        if ns.horizon_scale is not None:
+            knobs["horizon_scale"] = ns.horizon_scale
+        detector = build_cauchy_window_heuristic(stream, **knobs)
     if ns.show_program:
         print(detector.describe(), end="")
     outcome = run_detector(detector, ns.budget)

@@ -34,7 +34,6 @@ it, through the one base ``series._Report`` (``to_text`` and ``to_kv``).
 
 from __future__ import annotations
 
-import enum
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -56,7 +55,6 @@ from .series import (
 )
 
 __all__ = [
-    "DetectorKind",
     "CauchyWindowKnobs",
     "DetectorProgram",
     "ThresholdCertificate",
@@ -117,11 +115,6 @@ def semidecide_halting_via_series(
 # ---------------------------------------------------------------------------
 
 
-class DetectorKind(enum.Enum):
-    THRESHOLD = "threshold"
-    CAUCHY_WINDOW = "cauchy_window"
-
-
 class CauchyWindowKnobs(_Record):
     """The Cauchy-window rule; presence of knobs marks a detector as a
     heuristic variant with no correctness claim.
@@ -163,14 +156,16 @@ _LITERAL_RULE = CauchyWindowKnobs(1, Fraction(1))
 
 
 class DetectorProgram(_Record):
-    """An executable divergence detector over a coefficient stream."""
+    """An executable divergence detector over a coefficient stream: the
+    threshold detector when ``threshold``, else the Cauchy-window detector,
+    literal without knobs and the heuristic variant with them."""
 
-    kind: DetectorKind
     stream: CoefficientStream
     knobs: CauchyWindowKnobs | None = None
+    threshold: bool = False
 
     def __post_init__(self):
-        if self.knobs is not None and self.kind is not DetectorKind.CAUCHY_WINDOW:
+        if self.knobs is not None and self.threshold:
             raise ValueError("knobs apply only to the Cauchy-window detector")
 
     @property
@@ -179,7 +174,7 @@ class DetectorProgram(_Record):
 
     def describe(self) -> str:
         """Pseudocode rendering of what running this detector does."""
-        if self.kind is DetectorKind.THRESHOLD:
+        if self.threshold:
             return (
                 "for N = 1, 2, 3, ...:\n"
                 "    S_N = exact sum of a_0 .. a_N\n"
@@ -313,18 +308,18 @@ class StillRunning(_Report, _Record):
 
 def build_threshold_detector(stream: CoefficientStream) -> DetectorProgram:
     """Detector halting at the first N with ``|S_N(1)| > N``."""
-    return DetectorProgram(DetectorKind.THRESHOLD, stream)
+    return DetectorProgram(stream, threshold=True)
 
 
 def build_cauchy_window_detector(stream: CoefficientStream) -> DetectorProgram:
     """The literal shrinking-tolerance window detector (never halts)."""
-    return DetectorProgram(DetectorKind.CAUCHY_WINDOW, stream)
+    return DetectorProgram(stream)
 
 
 def build_cauchy_window_heuristic(stream: CoefficientStream, *args, **kwargs) -> DetectorProgram:
     """Non-vacuous window variant; explicitly a heuristic. The remaining
     arguments are :class:`CauchyWindowKnobs`' fields, with its defaults."""
-    return DetectorProgram(DetectorKind.CAUCHY_WINDOW, stream, CauchyWindowKnobs(*args, **kwargs))
+    return DetectorProgram(stream, CauchyWindowKnobs(*args, **kwargs))
 
 
 def run_detector(
@@ -340,7 +335,7 @@ def run_detector(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if detector.kind is DetectorKind.THRESHOLD:
+    if detector.threshold:
         return _run_threshold(detector.stream, budget, cancel)
     if detector.heuristic:
         return _run_window_heuristic(detector.stream, detector.knobs, budget, cancel)
@@ -421,7 +416,6 @@ def _run_window_heuristic(
     # after start, the later index winning ties.
     highs: list[int] = []
     lows: list[int] = []
-    trace: list[tuple[int, Fraction]] = []
     witness_log: list[tuple[int, int]] = []
     first = 1
 
@@ -449,8 +443,6 @@ def _run_window_heuristic(
             highs.append(len(sums))
             lows.append(len(sums))
             sums.append(s)
-        if k <= TRACE_POINTS:
-            trace.append((k, sums[k]))
         # The gap over [start, horizon] never grows with start and never
         # shrinks with the horizon, and the tolerance never grows. So the
         # qualifying starts are a tail of 1..cap, and no start below the
@@ -462,9 +454,9 @@ def _run_window_heuristic(
             failures = tuple(WindowFailure(n, *window(n)) for n in range(1, cap + 1))
             return Halted(k, CauchyWindowCertificate(k, tolerance, failures))
         witness_log.append((k, first))
-    return StillRunning(
-        budget=len(witness_log), trace=tuple(trace), witness_log=tuple(witness_log)
-    )
+    completed = len(witness_log)
+    trace = tuple((k, sums[k]) for k in range(1, min(completed, TRACE_POINTS) + 1))
+    return StillRunning(completed, trace, witness_log=tuple(witness_log))
 
 
 def recheck_certificate(

@@ -215,13 +215,7 @@ def _promised_terms(rate: RateFunction, m: int, r: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Verdict:
-    """Three-valued probe outcome; see the concrete subclasses."""
-
-    kind = "verdict"
-
-
-class WitnessedDivergence(Verdict, _Record):
+class WitnessedDivergence(_Record):
     """Term ratios crossed the threshold at ``index`` and stayed there
     through every later sampled ratio within the budget."""
 
@@ -237,7 +231,7 @@ class WitnessedDivergence(Verdict, _Record):
         return {"ratio": self.ratio, "threshold": self.threshold}
 
 
-class WitnessedBoundViolation(Verdict, _Record, eq=False):
+class WitnessedBoundViolation(_Record, eq=False):
     """A claimed bound failed; ``detail`` holds the exact violated values."""
 
     detail: dict
@@ -245,7 +239,7 @@ class WitnessedBoundViolation(Verdict, _Record, eq=False):
     kind = "WITNESSED_BOUND_VIOLATION"
 
 
-class ConsistentUpToBudget(Verdict, _Record):
+class ConsistentUpToBudget(_Record):
     """No witness within the budget. Not a convergence claim."""
 
     budget: int
@@ -272,7 +266,7 @@ class SeriesProbeReport(_Report, _Record, eq=False):
     witness; ``trace`` holds sampled (index, exact partial sum) pairs.
     """
 
-    verdict: Verdict
+    verdict: WitnessedDivergence | WitnessedBoundViolation | ConsistentUpToBudget
     witness: tuple[int, Fraction] | None
     trace: tuple[tuple[int, Fraction], ...]
     budget_used: int

@@ -652,24 +652,33 @@ def _run(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize(
-    "argv, flag, value",
-    [
-        (["probe", "S", "--kind", "modulus", "--rate", "constant:0", "--n-max", "3"], "--limit", "-1/3"),
-        (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--tolerance", "-1/2"),
-        (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--window-cap", "-1/2"),
-        (["eval", "S", "-m", "2", "--rate", "constant:3"], "--r", "-1/2"),
-        (["probe", "S", "--kind", "ratio", "--budget", "5"], "--threshold", "-3/2"),
-        (["probe", "S", "--kind", "effective", "--rate", "constant:1", "--k-max", "1",
-          "--n-budget", "5"], "--radius", "-1/2"),
-    ],
-)
+#: Every rational flag, each with a command that reads it and a negative value.
+RATIONAL_FLAGS = [
+    (["probe", "S", "--kind", "modulus", "--rate", "constant:0", "--n-max", "3"], "--limit", "-1/3"),
+    (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--tolerance", "-1/2"),
+    (["detect", "S", "--kind", "cauchy-heuristic", "--budget", "3"], "--window-cap", "-1/2"),
+    (["eval", "S", "-m", "2", "--rate", "constant:3"], "--r", "-1/2"),
+    (["probe", "S", "--kind", "ratio", "--budget", "5"], "--threshold", "-3/2"),
+    (["probe", "S", "--kind", "effective", "--rate", "constant:1", "--k-max", "1",
+      "--n-budget", "5"], "--radius", "-1/2"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", RATIONAL_FLAGS)
 def test_negative_fraction_flag_values_parse_in_both_spellings(tmp_path, capsys, argv, flag, value):
     argv = [series_file(tmp_path, "explicit -1/3") if a == "S" else a for a in argv]
     separate = _run([*argv, flag, value], capsys)
     joined = _run([*argv, f"{flag}={value}"], capsys)
     assert separate == joined
     assert "expected one argument" not in separate[2]
+
+
+@pytest.mark.parametrize("argv, flag", [(argv, flag) for argv, flag, _ in RATIONAL_FLAGS])
+def test_an_empty_rational_flag_exits_one(tmp_path, capsys, argv, flag):
+    # An empty value is given, not unset: it must not fall back to the flag's default.
+    argv = [series_file(tmp_path, "explicit -1/3") if a == "S" else a for a in argv]
+    code, out, err = _run([*argv, f"{flag}="], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: invalid rational ''")
 
 
 def test_probe_requires_kind_specific_flags(tmp_path, capsys):

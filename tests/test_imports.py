@@ -316,8 +316,8 @@ PUBLIC = [
     "ConsistentUpToBudget", "SeriesProbeReport", "partial_sum", "prefix_sums",
     "effective_partial_sum", "ratio_test_probe", "root_estimate", "check_effective_criterion",
     "check_modulus",
-    "DetectorKind", "CauchyWindowKnobs", "DetectorProgram", "ThresholdCertificate",
-    "WindowFailure", "CauchyWindowCertificate", "StillRunning", "forward_reduce",
+    "CauchyWindowKnobs", "DetectorProgram", "ThresholdCertificate", "WindowFailure",
+    "CauchyWindowCertificate", "StillRunning", "forward_reduce",
     "semidecide_halting_via_series", "build_threshold_detector", "build_cauchy_window_detector",
     "build_cauchy_window_heuristic", "run_detector", "recheck_certificate",
     "DetectorHalted",

@@ -32,7 +32,6 @@ from haltseries.series import (
 from haltseries.reductions import (
     CauchyWindowCertificate,
     CauchyWindowKnobs,
-    DetectorKind,
     DetectorProgram,
     Halted,
     StillRunning,
@@ -66,7 +65,7 @@ SAMPLES = [
      {"budget_used": 6}),
     (RootEstimateReport, (((1, 1.0),), 1.0, 1.0), {"limsup_proxy": 2.0}),
     (CauchyWindowKnobs, (3, 1, 8), {"horizon_scale": 4}),
-    (DetectorProgram, (DetectorKind.THRESHOLD, BuiltinStream(BuiltinId.ONE)),
+    (DetectorProgram, (BuiltinStream(BuiltinId.ONE), None, True),
      {"stream": BuiltinStream(BuiltinId.ZERO)}),
     (ThresholdCertificate, (2, Fraction(3)), {"index": 3}),
     (WindowFailure, (1, 1, 2, Fraction(1, 2)), {"gap": Fraction(1)}),

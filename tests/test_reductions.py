@@ -15,7 +15,6 @@ from haltseries import (
     CauchyWindowKnobs,
     ConsistentUpToBudget,
     DetectorHalted,
-    DetectorKind,
     DetectorProgram,
     EvaluationPoint,
     ExplicitStream,
@@ -925,7 +924,7 @@ def test_window_heuristic_certificate_covers_every_window_start():
 def test_detector_program_validation_and_description():
     stream = builtin_stream("one")
     with pytest.raises(ValueError):
-        DetectorProgram(DetectorKind.THRESHOLD, stream, CauchyWindowKnobs())
+        DetectorProgram(stream, CauchyWindowKnobs(), True)
     for scale in (0, 1.5, Fraction(3, 2)):
         with pytest.raises(ValueError):
             CauchyWindowKnobs(horizon_scale=scale)
@@ -938,6 +937,19 @@ def test_detector_program_validation_and_description():
     assert "heuristic" in build_cauchy_window_heuristic(stream).describe()
     assert not build_cauchy_window_detector(stream).heuristic
     assert build_cauchy_window_heuristic(stream).heuristic
+
+
+def test_a_heuristic_with_the_literal_rule_is_still_the_heuristic():
+    # The variant is named by ``threshold`` and by whether knobs are given,
+    # never by the knobs' values: knobs equal to the literal rule still search.
+    stream = builtin_stream("zero")
+    variants = [build_threshold_detector(stream), build_cauchy_window_detector(stream),
+                build_cauchy_window_heuristic(stream, 1, 1)]
+    assert len(set(variants)) == 3
+    literal, heuristic = (run_detector(detector, 5) for detector in variants[1:])
+    assert literal.witness_log == tuple((k, k) for k in range(1, 6))
+    assert heuristic.witness_log == tuple((k, 1) for k in range(1, 6))
+    assert variants[2].describe().startswith("heuristic variant (no correctness claim):")
 
 
 def test_run_detector_validates_budget():

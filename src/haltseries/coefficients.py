@@ -12,7 +12,6 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-import enum
 import math
 import threading
 from fractions import Fraction
@@ -21,7 +20,6 @@ from pathlib import Path
 from .machine import MachineProgram, MachineRun, _int_text, _Record, _text_int, parse_program
 
 __all__ = [
-    "BuiltinId",
     "CoefficientStream",
     "HaltingEncoded",
     "ExplicitStream",
@@ -129,24 +127,11 @@ class HaltingEncoded(CoefficientStream):
         return TermShape(upto + 1 if halt is None else halt, *_FACTORIAL_RATIO)
 
 
-class BuiltinId(enum.Enum):
-    """Named reference sequences."""
-
-    ZERO = "zero"
-    ONE = "one"
-    HARMONIC = "harmonic"
-    ALTERNATING = "alternating"
-    RECIPROCAL_FACTORIAL = "reciprocal_factorial"
-    FACTORIAL_TAIL = "factorial_tail"
-    GEOMETRIC = "geometric"
-
-    @classmethod
-    def from_name(cls, name: str) -> "BuiltinId":
-        key = name.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown builtin {name!r}")
+#: Each builtin's spec name and its number of parameters.
+_BUILTIN_ARITY = {
+    "zero": 0, "one": 0, "harmonic": 0, "alternating": 0, "reciprocal_factorial": 0,
+    "factorial_tail": 1, "geometric": 1,
+}
 
 
 class BuiltinStream(CoefficientStream, _Record):
@@ -157,37 +142,37 @@ class BuiltinStream(CoefficientStream, _Record):
     geometric(r): r^n.
     """
 
-    builtin_id: BuiltinId
+    name: str
     params: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(Fraction(p) for p in self.params))
-        expected = 1 if self.builtin_id in (BuiltinId.FACTORIAL_TAIL, BuiltinId.GEOMETRIC) else 0
+        if self.name not in _BUILTIN_ARITY:
+            raise ValueError(f"unknown builtin {self.name!r}")
+        expected = _BUILTIN_ARITY[self.name]
         if len(self.params) != expected:
             raise ValueError(
-                f"builtin {self.builtin_id.value} takes {expected} parameter(s), "
-                f"got {len(self.params)}"
+                f"builtin {self.name} takes {expected} parameter(s), got {len(self.params)}"
             )
-        if self.builtin_id is BuiltinId.FACTORIAL_TAIL:
+        if self.name == "factorial_tail":
             p = self.params[0]
             if p.denominator != 1 or p < 0:
                 raise ValueError("factorial_tail requires a natural-number start index")
-        geometric = self.builtin_id is BuiltinId.GEOMETRIC
-        object.__setattr__(self, "_cursor", (0, _ONE if geometric else 1))
+        object.__setattr__(self, "_cursor", (0, _ONE if self.name == "geometric" else 1))
 
     def at(self, n: int) -> Fraction:
-        b = self.builtin_id
-        if b is BuiltinId.ZERO:
+        name = self.name
+        if name == "zero":
             return _ZERO
-        if b is BuiltinId.ONE:
+        if name == "one":
             return _ONE
-        if b is BuiltinId.HARMONIC:
+        if name == "harmonic":
             return Fraction(1, n + 1)
-        if b is BuiltinId.ALTERNATING:
+        if name == "alternating":
             return _ONE if n % 2 == 0 else _MINUS_ONE
-        if b is BuiltinId.RECIPROCAL_FACTORIAL:
+        if name == "reciprocal_factorial":
             return Fraction(1, _cursor_read(self, n, n, math.factorial))
-        if b is BuiltinId.FACTORIAL_TAIL:
+        if name == "factorial_tail":
             start = int(self.params[0])
             return Fraction(_cursor_read(self, n, n, math.factorial)) if n >= start else _ZERO
         r = self.params[0]  # geometric
@@ -196,18 +181,18 @@ class BuiltinStream(CoefficientStream, _Record):
     def term_shape(self, upto: int) -> TermShape | None:
         """Every builtin but ``geometric 0`` is hypergeometric. Only
         ``zero``'s shape depends on ``upto``: it starts just past it."""
-        b = self.builtin_id
-        if b is BuiltinId.ZERO:
+        name = self.name
+        if name == "zero":
             return TermShape(upto + 1)
-        if b is BuiltinId.ONE:
+        if name == "one":
             return TermShape(0)
-        if b is BuiltinId.HARMONIC:
+        if name == "harmonic":
             return TermShape(0, (1, 1), (1, 2))
-        if b is BuiltinId.ALTERNATING:
+        if name == "alternating":
             return TermShape(0, (0, -1))
-        if b is BuiltinId.RECIPROCAL_FACTORIAL:
+        if name == "reciprocal_factorial":
             return TermShape(0, (0, 1), (1, 1))
-        if b is BuiltinId.FACTORIAL_TAIL:
+        if name == "factorial_tail":
             return TermShape(int(self.params[0]), *_FACTORIAL_RATIO)
         q = self.params[0]  # geometric
         return TermShape(0, (0, q.numerator), (0, q.denominator)) if q else None
@@ -227,10 +212,13 @@ class ExplicitStream(CoefficientStream, _Record):
         return self.prefix[n] if n < len(self.prefix) else self.tail
 
 
-def builtin_stream(name: BuiltinId | str, *params: Fraction | int | str) -> BuiltinStream:
-    """Construct a named builtin stream, validating parameter arity."""
-    builtin_id = name if isinstance(name, BuiltinId) else BuiltinId.from_name(name)
-    return BuiltinStream(builtin_id, tuple(parse_rational(p) for p in params))
+def builtin_stream(name: str, *params: Fraction | int | str) -> BuiltinStream:
+    """Construct a named builtin stream, validating parameter arity. The name
+    is matched ignoring case, surrounding blanks and ``-`` for ``_``."""
+    key = name.strip().lower().replace("-", "_")
+    if key not in _BUILTIN_ARITY:
+        raise ValueError(f"unknown builtin {name!r}")
+    return BuiltinStream(key, tuple(parse_rational(p) for p in params))
 
 
 # ---------------------------------------------------------------------------

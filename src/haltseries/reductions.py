@@ -446,10 +446,10 @@ def _run_window_heuristic(
         # The gap over [start, horizon] never grows with start and never
         # shrinks with the horizon, and the tolerance never grows. So the
         # qualifying starts are a tail of 1..cap, and no start below the
-        # last witness qualifies again: try it, then bisect the starts above.
-        qualifies = lambda n: window(n)[2] < tolerance
-        if not qualifies(first):
-            first += 1 + bisect_left(range(first + 1, cap + 1), True, key=qualifies)
+        # last witness qualifies again: scan forward from it. Over the whole
+        # run that is at most budget + cap start checks.
+        while first <= cap and window(first)[2] >= tolerance:
+            first += 1
         if first > cap:
             failures = tuple(WindowFailure(n, *window(n)) for n in range(1, cap + 1))
             return Halted(k, CauchyWindowCertificate(k, tolerance, failures))
@@ -477,7 +477,10 @@ def recheck_certificate(
         return value == cert.partial_sum and abs(value) > cert.index
     horizon, cap, tol = (knobs or _LITERAL_RULE).rule(cert.horizon)
     failures = cert.failures
-    if tol != cert.tolerance or {f.window_start for f in failures} != set(range(1, cap + 1)):
+    starts = {f.window_start for f in failures}
+    # The count first, so that a claimed cap far beyond the certificate's
+    # own size is refused without building its range.
+    if tol != cert.tolerance or len(starts) != cap or starts != set(range(1, cap + 1)):
         return False
     if not all(f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)):
         return False

@@ -6,10 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from haltseries import (
-    BuiltinId,
     ExplicitStream,
     HaltingEncoded,
     SeriesProbeReport,
@@ -23,7 +22,8 @@ from haltseries import (
     parse_series_spec,
     run_bounded,
 )
-from haltseries import machine
+from haltseries import coefficients, machine
+from haltseries.coefficients import BuiltinStream
 from haltseries.machine import _factorial_texts, _int_text, _text_int
 
 import corpus
@@ -460,7 +460,22 @@ def test_parse_series_spec_rejects_non_decimal_input(tmp_path):
         parse_series_spec("halting p.m ²", base_dir=tmp_path)
 
 
-def test_builtin_id_from_name_variants():
-    assert BuiltinId.from_name("Reciprocal-Factorial") is BuiltinId.RECIPROCAL_FACTORIAL
-    with pytest.raises(ValueError):
-        BuiltinId.from_name("exp")
+def test_builtin_stream_name_variants():
+    assert builtin_stream(" Reciprocal-Factorial ") == builtin_stream("reciprocal_factorial")
+    with pytest.raises(ValueError, match="^unknown builtin 'Exp'$"):
+        builtin_stream("Exp")
+
+
+def test_builtin_stream_is_keyed_by_its_spec_name():
+    assert BuiltinStream("harmonic").at(3) == Fraction(1, 4)
+    assert BuiltinStream("geometric", (Fraction(1, 2),)).at(3) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="^unknown builtin 'bogus'$"):
+        BuiltinStream("bogus")
+    with pytest.raises(ValueError, match="builtin harmonic takes 0 parameter"):
+        BuiltinStream("harmonic", (1,))
+
+
+def test_corpus_draws_every_builtin():
+    """So that a new builtin cannot skip the term-shape check above."""
+    for name in coefficients._BUILTIN_ARITY:
+        assert find(corpus.builtin_streams(), lambda stream: stream.name == name).name == name

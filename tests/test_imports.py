@@ -309,7 +309,7 @@ PUBLIC = [
     "Inc", "DecJz", "Halt", "MachineProgram", "HaltedAt", "RunningAfter", "MachineParseError",
     "GodelDecodeError", "parse_program", "pretty_program", "run_bounded", "halted_by",
     "encode_godel", "decode_godel",
-    "BuiltinId", "CoefficientStream", "HaltingEncoded", "ExplicitStream", "builtin_stream",
+    "CoefficientStream", "HaltingEncoded", "ExplicitStream", "builtin_stream",
     "parse_series_spec", "parse_rational", "format_rational", "approx_decimal",
     "EvaluationPoint", "RateFunction", "ExpTailRate", "LinearRate", "TabulatedRate",
     "RateUndefinedError", "parse_rate_spec", "WitnessedDivergence", "WitnessedBoundViolation",

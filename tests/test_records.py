@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from haltseries.coefficients import BuiltinId, BuiltinStream, ExplicitStream, TermShape
+from haltseries.coefficients import BuiltinStream, ExplicitStream, TermShape
 from haltseries.machine import DecJz, Halt, HaltedAt, Inc, MachineProgram, RunningAfter, _Record
 from haltseries.series import (
     ConsistentUpToBudget,
@@ -52,7 +52,7 @@ SAMPLES = [
     (HaltedAt, (5,), {"steps": 6}),
     (RunningAfter, (5,), {"budget": 6}),
     (TermShape, (3, (1, 1), (1, 2)), {"start": 4}),
-    (BuiltinStream, (BuiltinId.HARMONIC,), {"builtin_id": BuiltinId.ONE}),
+    (BuiltinStream, ("harmonic",), {"name": "geometric", "params": (2,)}),
     (ExplicitStream, ((1, 2), 3), {"tail": 4}),
     (EvaluationPoint, (1,), {"r": 2}),
     (ExpTailRate, (), {}),
@@ -65,8 +65,8 @@ SAMPLES = [
      {"budget_used": 6}),
     (RootEstimateReport, (((1, 1.0),), 1.0, 1.0), {"limsup_proxy": 2.0}),
     (CauchyWindowKnobs, (3, 1, 8), {"horizon_scale": 4}),
-    (DetectorProgram, (BuiltinStream(BuiltinId.ONE), None, True),
-     {"stream": BuiltinStream(BuiltinId.ZERO)}),
+    (DetectorProgram, (BuiltinStream("one"), None, True),
+     {"stream": BuiltinStream("zero")}),
     (ThresholdCertificate, (2, Fraction(3)), {"index": 3}),
     (WindowFailure, (1, 1, 2, Fraction(1, 2)), {"gap": Fraction(1)}),
     (CauchyWindowCertificate, (2, Fraction(1, 4), (FAILURE,)), {"failures": ()}),

@@ -890,6 +890,31 @@ def test_window_recheck_reads_each_coefficient_once():
     assert counting.reads <= horizon + 1
 
 
+def test_window_recheck_refuses_a_forged_horizon_in_bounded_memory():
+    # One failure claimed at horizon 10^12, whose rule asks for 5 * 10^11
+    # starts: the recheck must refuse it without building that many.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2 ** 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    code = (
+        "from fractions import Fraction\n"
+        "from haltseries import (CauchyWindowCertificate, CauchyWindowKnobs, WindowFailure,\n"
+        "    builtin_stream, recheck_certificate)\n"
+        "from haltseries.reductions import Halted\n"
+        "h = 10 ** 12\n"
+        "cert = CauchyWindowCertificate(h, Fraction(1, 8), (WindowFailure(1, 1, 2, Fraction(1)),))\n"
+        "knobs = CauchyWindowKnobs(fixed_tolerance=Fraction(1, 8))\n"
+        "print(recheck_certificate(builtin_stream('one'), Halted(h, cert), knobs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          preexec_fn=limit_address_space, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
 def test_window_heuristic_comparisons_grow_linearly_in_budget(monkeypatch):
     """Each horizon costs a few exact comparisons, not a rescan of its windows."""
     count = 0

@@ -46,7 +46,6 @@ from .series import (
     SeriesProbeReport,
     TRACE_POINTS,
     _Report,
-    _reduced,
     _sampled_sums,
     exact_line,
     partial_sum,
@@ -391,7 +390,7 @@ def _run_threshold(
         threshold = n << _SHIFT
         if hi > threshold or lo < -threshold:
             ((_, num, den),) = _sampled_sums(stream, _POINT_ONE, [n], checked + 1)
-            checkpoint, checked = checkpoint + _reduced(num, den), n
+            checkpoint, checked = checkpoint + Fraction(num, den), n
             if abs(checkpoint) > n:
                 return Halted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
             lo, hi = _scaled_bounds(checkpoint)
@@ -465,12 +464,18 @@ def recheck_certificate(
     knobs: CauchyWindowKnobs | None = None,
 ) -> bool:
     """Re-establish a halt certificate by independent exact recomputation.
-    The iteration must be the certificate's index or horizon, and a window
-    certificate's tolerance, starts and indices must follow ``knobs.rule``
-    (the literal detector's rule when ``knobs`` is None)."""
+    Every index must be an ``int``, the iteration must be the certificate's
+    index or horizon, and a window certificate's tolerance, starts and
+    indices must follow ``knobs.rule`` (the literal detector's rule when
+    ``knobs`` is None)."""
     cert = outcome.certificate
     threshold = isinstance(cert, ThresholdCertificate)
-    if not 1 <= (cert.index if threshold else cert.horizon) == outcome.iteration:
+    last = cert.index if threshold else cert.horizon
+    cited = [] if threshold else [i for f in cert.failures for i in (f.lo_index, f.hi_index)]
+    # A float or a Fraction may equal an index, but it names no partial sum.
+    if not all(type(i) is int for i in (outcome.iteration, last, *cited)):
+        return False
+    if not 1 <= last == outcome.iteration:
         return False
     if threshold:
         value = partial_sum(stream, _POINT_ONE, cert.index)
@@ -484,6 +489,8 @@ def recheck_certificate(
         return False
     if not all(f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)):
         return False
-    # One fresh pass from index 0 that shares no state with the runner.
-    sums = prefix_sums(stream, _POINT_ONE, horizon)
+    # One fresh pass from index 0 that shares no state with the runner and
+    # reads only the cited sums.
+    sampled = _sampled_sums(stream, _POINT_ONE, sorted(set(cited)))
+    sums = {k: Fraction(num, den) for k, num, den in sampled}
     return all(abs(sums[f.hi_index] - sums[f.lo_index]) == f.gap >= tol for f in failures)

@@ -350,9 +350,6 @@ def _running_sums(terms, point: EvaluationPoint, first: int = 0):
 #: Ranges of at most this many terms are summed by the one-term recurrence.
 _LEAF_TERMS = 16
 
-#: Guard bits of :func:`_exact_quotient`: any G >= 3 keeps its rounding exact.
-_GUARD_BITS = 66
-
 #: The :func:`_split` triple of an empty range.
 _EMPTY = (1, 1, 0)
 
@@ -380,9 +377,11 @@ def _split(
     non-constant (``p[0]`` and ``q[0]`` nonzero, as for ``harmonic``), ``P``
     and ``Q`` are products of nearby integers that share most of their
     primes, so each merge divides its triple (``Q`` and ``T`` on the right
-    spine) by their gcd, and the sum's parts stay near the size of the
-    reduced value. With a constant form little cancels and the gcds would
-    be wasted, so such triples, like the leaf recurrence, take none.
+    spine) by their gcd with ``//``, and the sum's parts stay near the size of
+    the reduced value: the final ``Fraction(T, Q)`` then costs one gcd on
+    operands near the value's size. With a constant form little cancels and
+    the gcds would be wasted, so such triples, like the leaf recurrence, take
+    none.
     """
     big_p, big_q, big_t = acc
     if b - a <= _LEAF_TERMS:
@@ -407,41 +406,9 @@ def _merge(left, right, cancel):
     if cancel:
         g = math.gcd(big_q, big_t) if big_p is None else math.gcd(big_p, big_q, big_t)
         if g != 1:
-            big_q, big_t = _exact_quotient(big_q, g), _exact_quotient(big_t, g)
-            big_p = None if big_p is None else _exact_quotient(big_p, g)
+            big_q, big_t = big_q // g, big_t // g
+            big_p = None if big_p is None else big_p // g
     return big_p, big_q, big_t
-
-
-def _exact_quotient(a: int, b: int) -> int:
-    """``a // b`` for ``b > 0`` that divides ``a``, read from the top bits.
-
-    Both drop their ``s = 2*bits(b) - bits(a) - G`` low bits, so the divisor
-    keeps G bits more than the quotient and ``a' / b'`` lies within
-    ``2^(2-G)`` of ``a / b``; as that is an integer, rounding ``a' / b'``
-    gives it (Jebelean, J. Symbolic Computation 15, 1993).
-    """
-    s = 2 * b.bit_length() - a.bit_length() - _GUARD_BITS if a else 0
-    if s <= 0:
-        return a // b
-    a, b = a >> s, b >> s
-    return (2 * a + b) // (2 * b)
-
-
-if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
-    _coprime = Fraction._from_coprime_ints
-else:
-
-    def _coprime(num: int, den: int) -> Fraction:
-        return Fraction(num, den, _normalize=False)
-
-
-def _reduced(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for ``den > 0``: one gcd, then two exact quotients
-    and no second gcd, as the parts left are coprime."""
-    g = math.gcd(num, den)
-    if g == 1:
-        return _coprime(num, den)
-    return _coprime(_exact_quotient(num, g), _exact_quotient(den, g))
 
 
 def _sampled_sums(
@@ -454,9 +421,8 @@ def _sampled_sums(
     the sum is ``T / Q`` for the :func:`_split` triple over ``[start, k + 1)``
     from ``P / Q = a_start * r^start`` and ``T = 0``, extended one segment per
     index, whose merges cancel as :func:`_split` says; the last segment forms
-    no ``P``. Any other stream is
-    summed term by term from ``first``. :func:`_reduced` turns a result into
-    a ``Fraction``."""
+    no ``P``. Any other stream is summed term by term from ``first``.
+    ``Fraction(num, den)`` reduces a result."""
     shape = _shape_of(stream, indices[-1])
     if shape is None:
         wanted = set(indices)
@@ -480,7 +446,7 @@ def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) ->
     if upto < 0:
         raise ValueError("partial sum index must be non-negative")
     ((_, num, den),) = _sampled_sums(stream, point, [upto])
-    return _reduced(num, den)
+    return Fraction(num, den)
 
 
 def prefix_sums(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> list[Fraction]:
@@ -747,7 +713,7 @@ def check_modulus(
     best, failure = n_max + 1, None  # the exponent, then (k, num, den), of the first failure
     for k, num, den in _sampled_sums(stream, point, indices):
         if k in traced:
-            trace.append((k, _reduced(num, den)))
+            trace.append((k, Fraction(num, den)))
         scaled, scale = (num, den) if limit_den == 1 else (num * limit_den, den * limit_den)
         gap = abs(scaled - limit_num * den)
         # The least n with gap << n >= scale, that is |S_k - limit| >= 2^-n as den > 0.
@@ -767,7 +733,7 @@ def check_modulus(
         verdict, witness = ConsistentUpToBudget(n_max), None
     else:
         k, num, den = failure
-        value = _reduced(num, den)
+        value = Fraction(num, den)
         detail = {
             "precision_exponent": best,
             "terms": k,

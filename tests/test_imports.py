@@ -5,9 +5,11 @@ Moving or deleting code tends to leave imports and helpers behind; these
 tests find them with the standard library's ``ast``. Another check keeps
 the package from setting the interpreter's int-digit limit: integers
 cross to and from text through ``machine``'s helpers at any length
-instead. A third keeps ``dataclasses`` and ``inspect`` out of every
+instead. A third keeps it off the private parts of ``fractions``, which
+change between Python versions: exact sums reduce with ``Fraction`` and
+``//`` alone. A fourth keeps ``dataclasses`` and ``inspect`` out of every
 child's start-up: the package's records build on ``machine._Record``.
-A fourth keeps one way to render an outcome: only ``series._Report``
+A fifth keeps one way to render an outcome: only ``series._Report``
 defines ``to_text`` and ``to_kv``, and each class built on it gives its
 ``report_lines``.
 The modules form an import chain, ``machine``, ``coefficients``,
@@ -127,6 +129,51 @@ def test_int_digit_limit_setters_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_sets_the_int_digit_limit(path):
     assert int_digit_limit_setters(path.read_text()) == []
+
+
+def private_fraction_reads(source: str) -> list[int]:
+    """Lines that read a private attribute of ``fractions`` or ``Fraction``,
+    under any alias, by import or through ``getattr``/``hasattr``, or that
+    pass ``_normalize=``: a fork on the Python version would hide there."""
+    tree = ast.parse(source)
+    owners, lines = {"fractions", "Fraction"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            owners.update(alias.asname or alias.name for alias in node.names if alias.name == "fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions" and not node.level:
+            owners.update(alias.asname or alias.name for alias in node.names)
+            if any(_private(alias.name) for alias in node.names):
+                lines.add(node.lineno)
+    for node in ast.walk(tree):
+        owner = attr = None
+        if isinstance(node, ast.Attribute):
+            owner, attr = node.value, node.attr
+        elif isinstance(node, ast.Call) and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            owner, attr = node.args[0], node.args[1].value
+        elif isinstance(node, ast.keyword) and node.arg == "_normalize":
+            lines.add(node.lineno)
+        while isinstance(owner, ast.Attribute):
+            owner = owner.value
+        if isinstance(owner, ast.Name) and owner.id in owners and isinstance(attr, str) and _private(attr):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_private_fraction_reads_are_found():
+    source = (
+        "from fractions import Fraction\nFraction._from_coprime_ints(1, 2)\n"
+        "Fraction(1, 2, _normalize=False)\nimport fractions as f\nf.Fraction._from_coprime_ints\n"
+        "hasattr(Fraction, '_from_coprime_ints')\nfrom fractions import _gcd\n"
+        "from fractions import Fraction as F\nF._numerator\n"
+        "Fraction.__eq__\nFraction.limit_denominator\nother._from_coprime_ints\n"
+        "getattr(other, '_x')\nFraction(1, 2).numerator\n"
+    )
+    assert private_fraction_reads(source) == [2, 3, 5, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_private_parts_of_fraction(path):
+    assert private_fraction_reads(path.read_text()) == []
 
 
 #: Modules that cost a child start-up more than the package uses them for.

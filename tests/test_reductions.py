@@ -890,9 +890,9 @@ def test_window_recheck_reads_each_coefficient_once():
     assert counting.reads <= horizon + 1
 
 
-def test_window_recheck_refuses_a_forged_horizon_in_bounded_memory():
-    # One failure claimed at horizon 10^12, whose rule asks for 5 * 10^11
-    # starts: the recheck must refuse it without building that many.
+def _recheck_under_a_512_mb_cap(certificate: str, knobs: str) -> str:
+    """Print ``recheck_certificate`` on ``builtin one`` in a child whose
+    address space is capped at 512 MB; a child that runs a minute fails."""
     resource = pytest.importorskip("resource")
     cap = 512 * 2 ** 20
 
@@ -905,14 +905,69 @@ def test_window_recheck_refuses_a_forged_horizon_in_bounded_memory():
         "    builtin_stream, recheck_certificate)\n"
         "from haltseries.reductions import Halted\n"
         "h = 10 ** 12\n"
-        "cert = CauchyWindowCertificate(h, Fraction(1, 8), (WindowFailure(1, 1, 2, Fraction(1)),))\n"
-        "knobs = CauchyWindowKnobs(fixed_tolerance=Fraction(1, 8))\n"
-        "print(recheck_certificate(builtin_stream('one'), Halted(h, cert), knobs))\n"
+        f"cert = {certificate}\n"
+        f"print(recheck_certificate(builtin_stream('one'), Halted(h, cert), {knobs}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           preexec_fn=limit_address_space, timeout=60)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def test_window_recheck_refuses_a_forged_horizon_in_bounded_memory():
+    # One failure claimed at horizon 10^12, whose rule asks for 5 * 10^11
+    # starts: the recheck must refuse it without building that many.
+    certificate = "CauchyWindowCertificate(h, Fraction(1, 8), (WindowFailure(1, 1, 2, Fraction(1)),))"
+    knobs = "CauchyWindowKnobs(fixed_tolerance=Fraction(1, 8))"
+    assert _recheck_under_a_512_mb_cap(certificate, knobs) == "False\n"
+
+
+def test_window_recheck_of_a_far_horizon_reads_only_the_cited_sums():
+    # A genuine halt: the rule gives horizon 2 * 10^12 and cap 1, and
+    # |S_2 - S_1| = 1 meets the tolerance 1. Only S_1 and S_2 are summed.
+    certificate = "CauchyWindowCertificate(h, 1, (WindowFailure(1, 1, 2, 1),))"
+    knobs = "CauchyWindowKnobs(2, Fraction(1, h), 1)"
+    assert _recheck_under_a_512_mb_cap(certificate, knobs) == "True\n"
+
+
+def _as(kind, field):
+    """An edit of a halt that retypes one of its indices with ``kind``."""
+    if field == "iteration":
+        return lambda halt: replace(halt, iteration=kind(halt.iteration))
+    if field in ("index", "horizon"):
+        cert = lambda halt: replace(halt.certificate, **{field: kind(getattr(halt.certificate, field))})
+    else:
+        cert = lambda halt: _edit_failure(
+            halt.certificate, 0, **{field: kind(getattr(halt.certificate.failures[0], field))}
+        )
+    return lambda halt: replace(halt, certificate=cert(halt))
+
+
+@pytest.mark.parametrize("stream", [builtin_stream("one"), ExplicitStream((Fraction(1),), Fraction(1))],
+                         ids=["one", "explicit"])
+@pytest.mark.parametrize(
+    "build, edit",
+    [
+        (build_threshold_detector, _as(Fraction, "index")),
+        (build_threshold_detector, _as(float, "index")),
+        (build_threshold_detector, _as(Fraction, "iteration")),
+        (build_cauchy_window_heuristic, _as(Fraction, "iteration")),
+        (build_cauchy_window_heuristic, _as(float, "horizon")),
+        (build_cauchy_window_heuristic, _as(Fraction, "lo_index")),
+        (build_cauchy_window_heuristic, _as(float, "hi_index")),
+    ],
+    ids=["threshold-index-fraction", "threshold-index-float", "threshold-iteration-fraction",
+         "window-iteration-fraction", "window-horizon-float", "window-lo-fraction",
+         "window-hi-float"],
+)
+def test_recheck_refuses_indices_that_are_not_ints(stream, build, edit):
+    detector = build(stream)
+    outcome = run_detector(detector, 10)
+    assert recheck_certificate(stream, outcome, detector.knobs)
+    retyped = edit(outcome)
+    assert retyped == outcome  # each index still equals the genuine one
+    assert recheck_certificate(stream, retyped, detector.knobs) is False
 
 
 def test_window_heuristic_comparisons_grow_linearly_in_budget(monkeypatch):

@@ -37,8 +37,6 @@ from haltseries import series
 from haltseries.coefficients import TermShape
 from haltseries.series import (
     MODULUS_SAMPLE_OFFSETS,
-    _exact_quotient,
-    _reduced,
     _sampled_sums,
     _trace_indices,
 )
@@ -287,7 +285,7 @@ def test_sampled_sums_match_a_running_fraction_sum(case):
         total += stream.at(j) * r ** j
         if j in indices:
             k, num, den = next(wanted)
-            value = _reduced(num, den)
+            value = Fraction(num, den)
             assert den > 0 and value == total, (k, first)
             assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
     if first == 0:
@@ -317,7 +315,7 @@ def test_cancelled_harmonic_sums_match_a_running_fraction_sum(r):
 
 def test_cancelled_harmonic_sum_holds_operands_near_its_size():
     ((_, num, den),) = _sampled_sums(builtin_stream("harmonic"), UNIT, [20000])
-    reduced = _reduced(num, den).denominator
+    reduced = Fraction(num, den).denominator
     assert reduced.bit_length() == 28821
     assert den.bit_length() < 2 * reduced.bit_length()
 
@@ -352,19 +350,19 @@ def test_only_shapes_with_two_linear_forms_cancel_as_they_merge(monkeypatch, str
     counter = CountingGcd()
     monkeypatch.setattr(series, "math", counter)
     partial_sum(stream, EvaluationPoint(r), 5000)
-    assert counter.calls == 1  # the final reduction only
+    assert counter.calls == 0  # the final reduction is the Fraction constructor's
     partial_sum(builtin_stream("harmonic"), UNIT, 5000)
     assert counter.calls > 2  # the counter sees the merges that cancel
 
 
 def quotient_cases():
-    """``(q, b)``: quotients at bit-length edges, divisors whose cut drops
-    all-one low bits, and divisors too short for any cut (s clamps to 0)."""
+    """``(q, b)``: quotients and divisors at and next to bit-length edges,
+    divisors shorter and longer than their quotients."""
     for k in (1, 2, 7, 64, 65, 200):
         for q in (2**k - 1, 2**k, 2**k + 1):
             for m in (1, 2, 70, 200, 1000):
                 yield q, 2**m - 1
-                yield q, 2 ** (m - 1) + 2 ** max(m - k - 1, 0) - 1  # b' just past a power of 2
+                yield q, 2 ** (m - 1) + 2 ** max(m - k - 1, 0) - 1  # b just past a power of 2
     yield 1, 3**500
     yield 3**40, 5**300
 
@@ -374,36 +372,20 @@ def quotient_cases():
     [pytest.param(q, b, id=f"q{q.bit_length()}-b{b.bit_length()}") for q, b in quotient_cases()],
 )
 def test_exact_quotient_recovers_the_quotient(q, b):
+    # (b, b, 0) then (q, 1, ±q) merge to (b*q, b, ±b*q), whose gcd is b: the
+    # cancelled merge must divide all three parts by it exactly.
     for sign in (1, -1):
-        assert _exact_quotient(sign * q * b, b) == sign * q
-    assert _exact_quotient(b, b) == 1
-    assert _exact_quotient(0, b) == 0
+        assert series._merge((b, b, 0), (q, 1, sign * q), True) == (q, 1, sign * q)
+        assert series._merge((b, b, 0), (None, 1, sign * q), True) == (None, 1, sign * q)
+    assert series._merge((b, b, 0), (1, 1, 1), True) == (1, 1, 1)
+    assert series._merge((b, b, 0), (1, 1, 0), True) == (1, 1, 0)
 
 
 @given(st.integers(-(2**600), 2**600), st.integers(1, 2**900))
 @settings(deadline=None)
 def test_exact_quotient_matches_floor_division(q, b):
-    assert _exact_quotient(q * b, b) == q
-
-
-@pytest.mark.parametrize(
-    "num, den",
-    [(7, 7), (-7, 7), (-(6**300), 4**200), (5, 2**300), (0, 2**200), (0, 1),
-     (3**400 * 2, 3**400 * 5), (-(10**500), 10**499), (12, 18)],
-    ids=["equal", "negative-equal", "negative", "coprime", "zero", "zero-over-one",
-         "large-gcd", "negative-integer", "small"],
-)
-def test_reduced_is_the_canonical_fraction(num, den):
-    value, expected = _reduced(num, den), Fraction(num, den)
-    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
-    assert value == expected and hash(value) == hash(expected)
-
-
-@given(st.integers(-(2**400), 2**400), st.integers(1, 2**400), st.integers(1, 2**500))
-@settings(deadline=None)
-def test_reduced_matches_the_fraction_constructor(num, den, g):
-    value, expected = _reduced(num * g, den * g), Fraction(num, den)
-    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert series._merge((b, b, 0), (q, 1, q), True) == (q, 1, q)
+    assert series._merge((b, b, 0), (None, 1, q), True) == (None, 1, q)
 
 
 # ---------------------------------------------------------------------------

@@ -464,28 +464,33 @@ def recheck_certificate(
     knobs: CauchyWindowKnobs | None = None,
 ) -> bool:
     """Re-establish a halt certificate by independent exact recomputation.
-    Every index must be an ``int``, the iteration must be the certificate's
-    index or horizon, and a window certificate's tolerance, starts and
-    indices must follow ``knobs.rule`` (the literal detector's rule when
-    ``knobs`` is None)."""
+    Every index and window start must be an ``int``, and the iteration must
+    be the certificate's index or horizon. A threshold certificate must cite
+    the runner's first N with ``|S_N| > N``: a fresh run to N - 1 must not
+    halt, so a forged index on a stream that never trips costs a run to N.
+    A window certificate's tolerance, starts and indices must follow
+    ``knobs.rule`` (the literal detector's rule when ``knobs`` is None)."""
     cert = outcome.certificate
     threshold = isinstance(cert, ThresholdCertificate)
     last = cert.index if threshold else cert.horizon
     cited = [] if threshold else [i for f in cert.failures for i in (f.lo_index, f.hi_index)]
-    # A float or a Fraction may equal an index, but it names no partial sum.
-    if not all(type(i) is int for i in (outcome.iteration, last, *cited)):
+    starts = [] if threshold else [f.window_start for f in cert.failures]
+    # A float, a bool or a Fraction may equal an index, but names no partial sum.
+    if not all(type(i) is int for i in (outcome.iteration, last, *starts, *cited)):
         return False
     if not 1 <= last == outcome.iteration:
         return False
     if threshold:
+        if isinstance(_run_threshold(stream, cert.index - 1, None), Halted):
+            return False
         value = partial_sum(stream, _POINT_ONE, cert.index)
         return value == cert.partial_sum and abs(value) > cert.index
     horizon, cap, tol = (knobs or _LITERAL_RULE).rule(cert.horizon)
     failures = cert.failures
-    starts = {f.window_start for f in failures}
+    distinct = set(starts)
     # The count first, so that a claimed cap far beyond the certificate's
     # own size is refused without building its range.
-    if tol != cert.tolerance or len(starts) != cap or starts != set(range(1, cap + 1)):
+    if tol != cert.tolerance or len(distinct) != cap or distinct != set(range(1, cap + 1)):
         return False
     if not all(f.window_start <= i <= horizon for f in failures for i in (f.lo_index, f.hi_index)):
         return False

@@ -53,8 +53,11 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-#: Documented relative precision of root-growth estimates.
-ROOT_ESTIMATE_RELATIVE_ERROR = 1e-9
+#: Relative error bound of a root-growth estimate in the normal float range.
+#: With u = 2^-53, the log of a part's top 64 bits is off by at most 66u; the
+#: two logs' difference plus (s - t)·log 2 by 260u + 4u·|log|a_n||, y = that / n
+#: by 260u + 5u·|y|, and exp(y) adds 2u: under (262 + 5·710)u < 4.3e-13.
+ROOT_ESTIMATE_RELATIVE_ERROR = 1e-12
 
 #: Number of (index, partial sum) pairs sampled into probe traces.
 TRACE_POINTS = 20
@@ -586,19 +589,14 @@ def ratio_test_probe(
     return SeriesProbeReport(verdict=verdict, witness=witness, trace=trace, budget_used=budget)
 
 
-def _ln_int(x: int) -> float:
-    """Natural log of a positive integer of any size."""
-    if x.bit_length() <= 900:
-        return math.log(x)
-    shift = x.bit_length() - 64
-    return math.log(x >> shift) + shift * math.log(2.0)
-
-
 def _root_growth(value: Fraction, n: int) -> float:
-    """``|value|^(1/n)`` within the documented relative error."""
+    """``|value|^(1/n)`` within ``ROOT_ESTIMATE_RELATIVE_ERROR``."""
     if value == 0:
         return 0.0
-    log_mag = _ln_int(abs(value.numerator)) - _ln_int(value.denominator)
+    # Each part's top 64 bits and its shift; the shifts cancel as integers.
+    num, den = abs(value.numerator), value.denominator
+    s, t = max(num.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
+    log_mag = math.log(num >> s) - math.log(den >> t) + (s - t) * math.log(2.0)
     try:
         return math.exp(log_mag / n)
     except OverflowError:
@@ -608,19 +606,18 @@ def _root_growth(value: Fraction, n: int) -> float:
 def root_estimate(stream: CoefficientStream, n_max: int) -> RootEstimateReport:
     """Estimate ``|a_n|^(1/n)`` for n in ``1..n_max``.
 
-    Magnitudes are taken through integer logarithms, so the estimates are
-    within ``ROOT_ESTIMATE_RELATIVE_ERROR`` relatively; zero terms report
-    an estimate of exactly 0. The limsup proxy is the maximum over the
-    trailing half of the computed indices.
+    Magnitudes are taken from the top 64 bits of each part and the exact
+    difference of their shifts, so an estimate in the normal float range is
+    within ``ROOT_ESTIMATE_RELATIVE_ERROR`` relatively, one above it is
+    ``inf``, and a zero term's is exactly 0. The limsup proxy is the maximum
+    over n from ``n_max // 2 + 1`` to ``n_max``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     estimates = tuple(
         (n, _root_growth(stream.at(n), n)) for n in range(1, n_max + 1)
     )
-    tail_from = n_max // 2 + 1
-    tail = [est for n, est in estimates if n >= tail_from] or [est for _, est in estimates]
-    proxy = max(tail)
+    proxy = max(est for _, est in estimates[n_max // 2:])
     radius = math.inf if proxy == 0.0 else 1.0 / proxy
     return RootEstimateReport(estimates=estimates, limsup_proxy=proxy, implied_radius=radius)
 

@@ -446,6 +446,18 @@ next:  decjz 3 outer
 done:  halt
 """
 
+# Pass 1 of ``outer`` opens a watch, and pass 2 drains register 0 inside it:
+# the watch gives up after _WATCH_CAP steps, so that ``inner`` is watched.
+# Halts at 2x + 6.
+WATCHED = """\
+        inc 1
+outer:  decjz 1 inner
+        decjz 3 outer
+inner:  decjz 0 done
+        decjz 3 inner
+done:   halt
+"""
+
 
 def multiplier(k: int) -> str:
     """Leaves k*x in register 1 through an inner loop per unit; halts at x*(4k+3)+2."""
@@ -483,6 +495,7 @@ LOOPS = {
     "spin": SPIN,
     "halver": HALVER,
     "nested": NESTED,
+    "watched": WATCHED,
     "multiplier1": multiplier(1),
     "multiplier4": multiplier(4),
 }
@@ -507,6 +520,14 @@ def test_loop_macro_steps_agree_with_a_plain_loop_on_random_programs():
         budgets = sorted(rng.randint(0, 2 * 10 ** 4) for _ in range(3))
         expected = _single_steps(program, input_value, budgets)
         assert _macro_steps(program, input_value, budgets) == expected, program
+
+
+@pytest.mark.parametrize("input_value", [2045, 2046, 2047, 2048, 5000])
+def test_a_watch_past_its_cap_agrees_with_a_plain_loop(input_value):
+    # Each budget in one call, since a resumed run starts a fresh watch.
+    program = parse_program(WATCHED)
+    for budget in (4098, 4099, 4100, 4101, 4102, 4103, 10 ** 5):
+        assert _macro_steps(program, input_value, [budget]) == _single_steps(program, input_value, [budget])
 
 
 def test_only_the_dense_table_and_advance_read_the_opcodes():
@@ -571,6 +592,23 @@ def test_loops_cost_o1_per_exit(tmp_path):
         "HALTED at step 4000000000002",
         "0",
     ]
+
+
+def test_a_watch_gives_up_at_its_cap(tmp_path):
+    # Without the cap the watch of ``outer`` would single-step the whole
+    # inner loop, 2·10^9 steps; the child's timeout fails the test.
+    (tmp_path / "watched.m").write_text(WATCHED)
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "haltseries.cli", "simulate", "watched.m", "--input", str(10 ** 9),
+         "--budget", str(10 ** 10)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "HALTED at step 2000000006\n")
 
 
 # ---------------------------------------------------------------------------

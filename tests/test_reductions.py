@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -628,6 +629,41 @@ def test_recheck_rejects_a_threshold_index_below_one(index, value):
     assert not recheck_certificate(builtin_stream("one"), forged)
 
 
+@pytest.mark.parametrize("index", [2, 10 ** 6, 10 ** 12])
+def test_threshold_recheck_refuses_a_later_index_where_the_runner_halts_first(index):
+    # S_n = n + 1 > n on ``one`` at every n, but the runner halts at N = 1,
+    # so the recheck's own run refuses there instead of summing to n.
+    forged = DetectorHalted(index, ThresholdCertificate(index, Fraction(index + 1)))
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert recheck_certificate(builtin_stream("one"), forged) is False
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
+
+
+_HALTING_STREAMS = [forward_reduce(program, case.input_value) for case, program in corpus.halting_programs()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(corpus.builtin_streams(), st.sampled_from(_HALTING_STREAMS)),
+    st.integers(1, 40),
+    st.integers(1, 30),
+)
+def test_threshold_recheck_holds_certificates_to_the_first_n_rule(stream, budget, later):
+    outcome = run_detector(build_threshold_detector(stream), budget)
+    if not outcome.halted:
+        return
+    assert recheck_certificate(stream, outcome)
+    # Every later index past its threshold cites a true sum, yet the runner
+    # never halts there.
+    sums = prefix_sums(stream, UNIT, outcome.iteration + later)
+    for n in range(outcome.iteration + 1, len(sums)):
+        if abs(sums[n]) > n:
+            assert not recheck_certificate(stream, DetectorHalted(n, ThresholdCertificate(n, sums[n])))
+
+
 def _zero_gap_forgery(horizon, cap):
     """A halt at ``horizon`` whose failures cite gaps of 0 at tolerance 0."""
     failures = tuple(WindowFailure(n, n, n, Fraction(0)) for n in range(1, cap + 1))
@@ -956,10 +992,12 @@ def _as(kind, field):
         (build_cauchy_window_heuristic, _as(float, "horizon")),
         (build_cauchy_window_heuristic, _as(Fraction, "lo_index")),
         (build_cauchy_window_heuristic, _as(float, "hi_index")),
+        (build_cauchy_window_heuristic, _as(float, "window_start")),
+        (build_cauchy_window_heuristic, _as(bool, "window_start")),
     ],
     ids=["threshold-index-fraction", "threshold-index-float", "threshold-iteration-fraction",
          "window-iteration-fraction", "window-horizon-float", "window-lo-fraction",
-         "window-hi-float"],
+         "window-hi-float", "window-start-float", "window-start-bool"],
 )
 def test_recheck_refuses_indices_that_are_not_ints(stream, build, edit):
     detector = build(stream)

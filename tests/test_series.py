@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -733,6 +735,60 @@ def test_root_estimate_handles_huge_magnitudes():
     est = dict(report.estimates)[3000]
     oracle = math.exp(math.lgamma(3001) / 3000)
     assert abs(est - oracle) <= 1e-9 * oracle
+
+
+def test_root_estimate_proxy_is_the_maximum_over_the_trailing_half():
+    stream = ExplicitStream((Fraction(0), Fraction(100), Fraction(1), Fraction(1)))
+    first = root_estimate(stream, 1)
+    assert first.limsup_proxy == first.estimates[0][1] > 99
+    assert root_estimate(stream, 3).limsup_proxy == 1.0  # n = 2, 3
+
+
+def test_root_estimate_meets_its_bound_where_the_parts_sizes_cancel():
+    # a_1 = 3 + 2^-M: each part's log is about 0.69·M, and rounded apart
+    # their difference was off by 2.5e-9 relatively.
+    m = 25_165_829
+    stream = ExplicitStream((Fraction(0), Fraction(3 * 2 ** m + 1, 2 ** m)))
+    ((_, est),) = root_estimate(stream, 1).estimates
+    assert abs(est - 3) <= series.ROOT_ESTIMATE_RELATIVE_ERROR * 3
+
+
+def _decimal_root_growth(value, n):
+    """``|value|^(1/n)`` to 40 digits through ``Decimal.ln`` and ``exp``."""
+    with decimal.localcontext(decimal.Context(prec=40, Emax=10 ** 6, Emin=-10 ** 6)) as ctx:
+        num, den = (ctx.create_decimal(abs(part)) for part in value.as_integer_ratio())
+        return ((num.ln() - den.ln()) / n).exp()
+
+
+def _part(draw, rng):
+    """A positive integer of up to 10^5 bits, often of at most 64 or over
+    5·10^4."""
+    bits = draw(st.one_of(st.integers(1, 64), st.integers(65, 10 ** 5), st.integers(5 * 10 ** 4, 10 ** 5)))
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+@st.composite
+def root_growth_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    den = _part(draw, rng)
+    if draw(st.booleans()):
+        num = _part(draw, rng)
+    else:  # near a small multiple of the denominator: the parts' sizes cancel
+        num = max(den * draw(st.integers(1, 1000)) + draw(st.integers(-10 ** 6, 10 ** 6)), 1)
+    n = draw(st.one_of(st.integers(1, 100), st.integers(1, 10 ** 5)))
+    return Fraction(draw(st.sampled_from([1, -1])) * num, den), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_growth_cases())
+def test_root_growth_meets_its_bound_against_a_decimal_reference(case):
+    value, n = case
+    est, ref = series._root_growth(value, n), _decimal_root_growth(value, n)
+    if decimal.Decimal(sys.float_info.min) <= ref <= decimal.Decimal(sys.float_info.max):
+        assert abs(decimal.Decimal(est) - ref) <= decimal.Decimal(series.ROOT_ESTIMATE_RELATIVE_ERROR) * ref
+    num, den = abs(value.numerator), value.denominator
+    if max(num.bit_length(), den.bit_length()) <= 64:
+        assert est == math.exp((math.log(num) - math.log(den)) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,22 @@ class TermShape(_Record):
     """A stream's hypergeometric shape up to some index.
 
     Terms are zero below ``start`` and nonzero from ``start`` on, where
-    ``a_{n+1} / a_n = (num[0]*n + num[1]) / (den[0]*n + den[1])``, both
-    linear forms being nonzero. ``start`` lies past that index when every
-    term up to it is zero.
+    ``a_{n+1} / a_n = (num[0]*n + num[1]) / (den[0]*n + den[1])``. ``start``
+    lies past that index when every term up to it is zero. Each form keeps
+    one sign from ``start`` on: the numerator is nonzero at ``start`` and
+    moves away from zero after it, the denominator is positive at ``start``
+    and does not fall. Any other shape raises ``ValueError``.
     """
 
     start: int
     num: tuple[int, int] = (0, 1)
     den: tuple[int, int] = (0, 1)
+
+    def __post_init__(self):
+        (a, b), (c, d), n = self.num, self.den, self.start
+        p = a * n + b
+        if not p or p * a < 0 or c * n + d <= 0 or c < 0:
+            raise ValueError(f"{self!r}: the ratio's forms must keep one sign from start on")
 
 
 _FACTORIAL_RATIO = ((1, 1), (0, 1))
@@ -82,7 +90,8 @@ class CoefficientStream:
 
     def term_shape(self, upto: int) -> TermShape | None:
         """The stream's :class:`TermShape` valid for indices ``0..upto``,
-        or ``None`` when it has none."""
+        or ``None`` when it has none: a ratio whose numerator keeps one sign
+        and whose denominator stays positive from the shape's start on."""
         return None
 
 

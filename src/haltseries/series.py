@@ -424,8 +424,9 @@ def _sampled_sums(
     the sum is ``T / Q`` for the :func:`_split` triple over ``[start, k + 1)``
     from ``P / Q = a_start * r^start`` and ``T = 0``, extended one segment per
     index, whose merges cancel as :func:`_split` says; the last segment forms
-    no ``P``. Any other stream is summed term by term from ``first``.
-    ``Fraction(num, den)`` reduces a result."""
+    no ``P``. ``Q`` is positive, as the :class:`TermShape`'s denominator
+    form is from ``start`` on. Any other stream is summed term by term from
+    ``first``. ``Fraction(num, den)`` reduces a result."""
     shape = _shape_of(stream, indices[-1])
     if shape is None:
         wanted = set(indices)
@@ -441,7 +442,7 @@ def _sampled_sums(
         if k >= start:  # below start S_k = 0, and T is still 0
             acc, done = _split(p, q, done, k + 1, acc, k != indices[-1]), k + 1
         _, den, num = acc
-        yield (k, num, den) if den > 0 else (k, -num, -den)
+        yield k, num, den
 
 
 def partial_sum(stream: CoefficientStream, point: EvaluationPoint, upto: int) -> Fraction:
@@ -500,33 +501,20 @@ def _term_ratios(terms):
 
 def _run_start(shape, budget: int, scale_p: int, scale_q: int) -> int | None:
     """The first n of the unbroken run of crossings
-    ``|a*n + b| * scale_p >= |c*n + d| * scale_q`` that ends at ``budget``,
+    ``|a*n + b| * scale_p >= (c*n + d) * scale_q`` that ends at ``budget``,
     within ``[shape.start, budget]``, or ``None`` when ``budget`` misses.
 
-    Both forms are nonzero on the range, and a form ``a*n + b`` with
-    ``a != 0`` changes sign once, at ``k = ceil(-b/a)``. So the cuts inside
-    the range split it into at most three pieces, on each of which both forms
-    keep the signs they have at its left end, and a miss is one linear
-    inequality ``A*n + B < 0``. Walking the pieces from the right, the first
-    with a miss holds the last one, and the run starts one past it."""
-    start = shape.start
-    if start > budget:
+    A :class:`TermShape`'s numerator form keeps its sign at ``start`` on the
+    range and its denominator form is positive there, so a crossing is one
+    linear inequality ``A*n + B >= 0``. With ``A > 0`` it fails exactly for
+    ``n < ceil(-B/A)``; otherwise it holds on the whole range once it holds
+    at ``budget``."""
+    (a, b), (c, d), start = shape.num, shape.den, shape.start
+    sign = 1 if a * start + b > 0 else -1
+    A, B = sign * a * scale_p - c * scale_q, sign * b * scale_p - d * scale_q
+    if start > budget or A * budget + B < 0:
         return None
-    forms = (shape.num, scale_p), (shape.den, -scale_q)
-    cuts = (-(b // a) for (a, b), _ in forms if a)
-    miss, ends = start - 1, sorted({start, budget + 1, *(k for k in cuts if start < k <= budget)})
-    for lo, hi in reversed(list(itertools.pairwise(ends))):
-        A = B = 0  # A*n + B = |a*n + b|*scale_p - |c*n + d|*scale_q on [lo, hi)
-        for (a, b), scale in forms:
-            sign = -1 if a * lo + b < 0 else 1
-            A, B = A + sign * scale * a, B + sign * scale * b
-        if A * (hi - 1) + B < 0:
-            miss = hi - 1
-            break
-        if A > 0 and -(B // A) > lo:  # A*n + B < 0 exactly for n < ceil(-B/A)
-            miss = -(B // A) - 1
-            break
-    return miss + 1 if miss < budget else None
+    return max(start, -(B // A)) if A > 0 else start
 
 
 def ratio_test_probe(
@@ -544,8 +532,9 @@ def ratio_test_probe(
     threshold; one large ratio on its own proves nothing. Indices where
     either term vanishes are not sampled and do not interrupt a run.
     A stream with a term shape finds the witness in closed form from its
-    ratio (:func:`_run_start`), any other is read term by term, each index
-    once; both give the same report.
+    ratio, whose numerator keeps one sign and whose denominator is positive
+    (:func:`_run_start`); any other is read term by term, each index once.
+    Both give the same report.
     """
     threshold = Fraction(threshold)
     if threshold <= 1:
@@ -577,7 +566,7 @@ def ratio_test_probe(
         n = _run_start(shape, budget, scale_p, scale_q)
         if n is not None:
             (a, b), (c, d) = shape.num, shape.den
-            start = (n, abs(a * n + b), abs(c * n + d))
+            start = (n, abs(a * n + b), c * n + d)
 
     if start is None:
         verdict, witness = ConsistentUpToBudget(budget), None

@@ -23,7 +23,7 @@ from haltseries import (
     run_bounded,
 )
 from haltseries import coefficients, machine
-from haltseries.coefficients import BuiltinStream
+from haltseries.coefficients import BuiltinStream, TermShape
 from haltseries.machine import _factorial_texts, _int_text, _text_int
 
 import corpus
@@ -196,6 +196,22 @@ def assert_shape_matches_terms(stream, upto):
 @given(corpus.builtin_streams(), st.integers(0, 60))
 def test_builtin_term_shape_matches_terms(stream, upto):
     assert_shape_matches_terms(stream, upto)
+
+
+@pytest.mark.parametrize(
+    "start, num, den",
+    [
+        (0, (2, -9), (0, 1)),  # the numerator turns negative to positive at 4.5
+        (2, (-2, 21), (4, -17)),  # both forms change sign after start
+        (0, (0, 0), (0, 1)),  # a zero numerator
+        (3, (1, -3), (0, 1)),  # a numerator zero at start
+        (0, (0, 1), (0, -2)),  # a negative denominator
+        (0, (0, 1), (-1, 5)),  # a falling denominator, zero at 5
+    ],
+)
+def test_term_shape_refuses_forms_that_do_not_keep_one_sign(start, num, den):
+    with pytest.raises(ValueError, match="keep one sign"):
+        TermShape(start, num, den)
 
 
 def test_streams_without_a_term_shape():

@@ -112,14 +112,14 @@ class AtOnly:
         return self.stream.at(n)
 
 
-class NegativeDenominator(CoefficientStream):
-    """``(-1/2)^n`` with its ratio written as ``1 / -2``: a shape may put the sign below."""
+class NegativeRatio(CoefficientStream):
+    """``(-1/2)^n`` with its ratio written as ``-1 / 2``: the sign sits above."""
 
     def at(self, n):
         return Fraction(-1, 2) ** n
 
     def term_shape(self, upto):
-        return TermShape(0, (0, 1), (0, -2))
+        return TermShape(0, (0, -1), (0, 2))
 
 
 def sequential_sum(stream, r, upto):
@@ -163,7 +163,7 @@ def test_partial_sum_matches_the_sequential_sum(stream, r, upto):
         builtin_stream("alternating"),  # p(n) is negative
         builtin_stream("reciprocal_factorial"),
         AtOnly(builtin_stream("harmonic")),  # duck-typed, at-only
-        NegativeDenominator(),
+        NegativeRatio(),
     ],
 )
 @pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
@@ -196,7 +196,7 @@ def difference_of_partial_sums(stream, r, first, upto):
         (builtin_stream("factorial_tail", 5), 5),
         (builtin_stream("harmonic"), 0),
         (HaltingEncoded(parse_program("loop: decjz 0 done\ndecjz 2 loop\ndone: halt"), 3), 8),
-        (NegativeDenominator(), 0),
+        (NegativeRatio(), 0),
     ],
 )
 @pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)])
@@ -236,7 +236,7 @@ def test_resumed_sum_reads_only_the_terms_it_adds():
 
 class Shaped(CoefficientStream):
     """``a_start * prod((a*j + b) / (c*j + d) for start <= j < n)`` from ``start``
-    on, zero below it, with that term shape: any linear forms nonzero there."""
+    on, zero below it, with that term shape: any forms :class:`TermShape` takes."""
 
     def __init__(self, start, lead, num, den):
         self.start, self.lead, self.num, self.den = start, lead, num, den
@@ -268,9 +268,9 @@ def shaped_sums(draw):
     for gap in gaps[1:]:
         indices.append(indices[-1] + gap)
     start = draw(st.integers(0, indices[-1] + 5))  # may lie past the last index
-    num, den = draw(linear_forms), draw(linear_forms)
-    for j in range(start, indices[-1] + 1):
-        assume(num[0] * j + num[1] != 0 and den[0] * j + den[1] != 0)
+    (a, b), (c, d) = num, den = draw(linear_forms), draw(linear_forms)
+    p = a * start + b
+    assume(p and p * a >= 0 and c * start + d > 0 and c >= 0)  # TermShape's contract
     lead = draw(st.fractions(-50, 50, max_denominator=10**6).filter(bool))
     r = Fraction(draw(st.integers(0, 10**30)), draw(st.integers(1, 10**30)))
     return Shaped(start, lead, num, den), r, first, indices
@@ -587,19 +587,22 @@ thresholds = st.fractions(1, 5, max_denominator=9).filter(lambda t: t > 1)
 @st.composite
 def shaped_cases(draw, max_budget):
     """``(Shaped stream, point, threshold, budget)``. Each form is
-    ``k * (2a*n + e - 2a*m)``, never zero at an integer, with a leading
-    coefficient of any sign or zero and its sign change, if any, near m, drawn
-    around ``[start, budget]``; starts run past the budget. Half the cases put
-    a tie at some n: the ratio there times r is the threshold exactly."""
+    ``k * (2a*n + e - 2a*m)``, never zero at an integer, with its sign change,
+    if any, near an m drawn just below ``start``, so that it keeps one sign
+    from ``start`` on. The numerator's leading coefficient has any sign or is
+    zero; the denominator's is not negative, and a constant denominator is
+    positive. Starts run past the budget. Half the cases put a tie at some n:
+    the ratio there times r is the threshold exactly."""
     budget = draw(st.integers(1, max_budget))
     start = draw(st.integers(0, budget + 3))
 
-    def form():
-        a, e, k = draw(st.integers(-4, 4)), draw(st.sampled_from((-1, 1))), draw(st.integers(1, 3))
-        m = draw(st.integers(start - 3, budget + 3))
+    def form(a):
+        e, k = draw(st.sampled_from((-1, 1))), draw(st.integers(1, 3))
+        m = draw(st.integers(start - 3, start - 1))
         return 2 * a * k, (e - 2 * a * m) * k
 
-    num, den = form(), form()
+    num, (c, d) = form(draw(st.integers(-4, 4))), form(draw(st.integers(0, 4)))
+    den = c, d if c else abs(d)
     lead = draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
     threshold, r = draw(thresholds), draw(st.fractions(0, 4, max_denominator=9))
     if draw(st.booleans()):
@@ -650,10 +653,13 @@ def scanned_witness(shape, point, threshold, budget):
 
 @given(shaped_cases(10 ** 4))
 @settings(max_examples=300, deadline=None)
-# A tie at the last index and at a piece's end; both forms changing sign.
-@example((Shaped(0, Fraction(1), (2, -9), (0, 1)), EvaluationPoint(Fraction(2, 3)), Fraction(2), 6))
-@example((Shaped(0, Fraction(1), (2, -9), (0, 1)), EvaluationPoint(Fraction(2)), Fraction(2), 10))
-@example((Shaped(2, Fraction(-1), (-2, 21), (4, -17)), EvaluationPoint(Fraction(1)), Fraction(3, 2), 30))
+# One case per branch of the closed form, A*n + B >= 0 being a crossing:
+# A > 0 and a run from ceil(-B/A) = 2 past start, where floor(-B/A) = 1;
+# A == 0 and a tie at every n; A < 0 and a tie at the budget; a miss at the budget.
+@example((Shaped(0, Fraction(1), (2, 1), (0, 1)), HALF, Fraction(2), 9))
+@example((Shaped(1, Fraction(-3), (2, 0), (1, 0)), UNIT, Fraction(2), 12))
+@example((Shaped(0, Fraction(1), (1, 20), (1, 1)), UNIT, Fraction(3, 2), 37))
+@example((Shaped(0, Fraction(1), (1, 20), (1, 1)), UNIT, Fraction(3, 2), 38))
 def test_ratio_probe_closed_form_matches_the_scan(case):
     stream, point, threshold, budget = case
     report = ratio_test_probe(stream, point, threshold, budget)
@@ -990,9 +996,9 @@ def test_check_modulus_matches_the_reference_probe(stream, r, limit, rate, n_max
         (ExplicitStream((Fraction(1), Fraction(-1, 2)), Fraction(0)), Fraction(1, 2),
          Zigzag((4, 1, 2)), 9, None),
         (builtin_stream("zero"), Fraction(0), LinearRate(0, 0), 12, None),
-        # S_k - 2/3 = -(-1/2)^(k+1) * 2/3 has the sign of its shape's denominator
-        (NegativeDenominator(), Fraction(2, 3), LinearRate(1, 0), 16, None),
-        (NegativeDenominator(), Fraction(2, 3), LinearRate(0, 3), 16, (5, 3)),
+        # S_k - 2/3 = -(-1/2)^(k+1) * 2/3 alternates in sign, as its shape's numerator is negative
+        (NegativeRatio(), Fraction(2, 3), LinearRate(1, 0), 16, None),
+        (NegativeRatio(), Fraction(2, 3), LinearRate(0, 3), 16, (5, 3)),
         # An integer limit: |S_3 - 2| = 1/8 first reaches 2^-n at n = 3
         (builtin_stream("geometric", Fraction(1, 2)), Fraction(2), Zigzag((3,)), 6, (3, 3)),
         # A non-integer limit: |S_n - 3/2| = 3^-n / 2 stays below 2^-n

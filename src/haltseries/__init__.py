@@ -29,9 +29,6 @@ def _module(name: str):
 def __getattr__(name: str):
     if name == "__all__":
         value = [public for owner in _CHAIN for public in _module(owner).__all__]
-        value.append("DetectorHalted")
-    elif name == "DetectorHalted":
-        value = _module("reductions").Halted
     elif name == "cli" or name in _CHAIN:
         # ``from haltseries import cli`` asks for the attribute first: load that module alone.
         value = _module(name)

@@ -53,17 +53,15 @@ class _Record:
     module imports ``dataclasses``. As in a frozen dataclass, a record's fields
     (``__match_args__``) are its bases' then its own annotated names; an omitted
     field takes its class attribute; ``__post_init__`` runs after ``__init__``;
-    records compare and hash as field tuples within one class (``eq=False``
-    keeps identity); writes raise ``AttributeError``; and ``__replace__``
-    copies with changes, as ``copy.replace`` asks on Python 3.13+."""
+    records compare and hash as field tuples within one class; writes raise
+    ``AttributeError``; and ``__replace__`` copies with changes, as
+    ``copy.replace`` asks on Python 3.13+."""
 
     __match_args__ = ()
 
-    def __init_subclass__(cls, eq=True):
+    def __init_subclass__(cls):
         own = cls.__dict__.get("__annotations__", ())
         cls.__match_args__ += tuple(key for key in own if key not in cls.__match_args__)
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
         name, fields = type(self).__name__, self.__match_args__

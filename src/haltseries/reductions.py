@@ -59,6 +59,7 @@ __all__ = [
     "ThresholdCertificate",
     "WindowFailure",
     "CauchyWindowCertificate",
+    "DetectorHalted",
     "StillRunning",
     "forward_reduce",
     "semidecide_halting_via_series",
@@ -207,7 +208,7 @@ class ThresholdCertificate(_Record):
     partial_sum: Fraction
 
     def report_lines(self, kv: bool) -> list[str]:
-        """This certificate's lines in a ``Halted`` report."""
+        """This certificate's lines in a ``DetectorHalted`` report."""
         if kv:
             return [
                 f"certificate_index={format_rational(self.index)}",
@@ -238,7 +239,7 @@ class CauchyWindowCertificate(_Record):
     failures: tuple[WindowFailure, ...]
 
     def report_lines(self, kv: bool) -> list[str]:
-        """This certificate's lines in a ``Halted`` report."""
+        """This certificate's lines in a ``DetectorHalted`` report."""
         failures = [tuple(map(format_rational, (f.window_start, f.lo_index, f.hi_index, f.gap)))
                     for f in self.failures]
         if kv:
@@ -255,7 +256,7 @@ class CauchyWindowCertificate(_Record):
         ]
 
 
-class Halted(_Report, _Record):
+class DetectorHalted(_Report, _Record):
     """The detector halted at ``iteration`` with re-checkable evidence."""
 
     iteration: int
@@ -325,7 +326,7 @@ def run_detector(
     detector: DetectorProgram,
     budget: int,
     cancel: Callable[[], bool] | None = None,
-) -> Halted | StillRunning:
+) -> DetectorHalted | StillRunning:
     """Run a detector for at most ``budget`` outer iterations.
 
     Deterministic given the stream. ``cancel`` is polled at iteration
@@ -361,7 +362,7 @@ def _run_threshold(
     stream: CoefficientStream,
     budget: int,
     cancel: Callable[[], bool] | None,
-) -> Halted | StillRunning:
+) -> DetectorHalted | StillRunning:
     """Threshold loop over a sound scaled-integer enclosure of S_N.
 
     Whenever the enclosure does not rule out ``|S_N| > N``, the exact
@@ -392,7 +393,7 @@ def _run_threshold(
             ((_, num, den),) = _sampled_sums(stream, _POINT_ONE, [n], checked + 1)
             checkpoint, checked = checkpoint + Fraction(num, den), n
             if abs(checkpoint) > n:
-                return Halted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
+                return DetectorHalted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
             lo, hi = _scaled_bounds(checkpoint)
         completed = n
     return StillRunning(
@@ -407,7 +408,7 @@ def _run_window_heuristic(
     knobs: CauchyWindowKnobs,
     budget: int,
     cancel: Callable[[], bool] | None,
-) -> Halted | StillRunning:
+) -> DetectorHalted | StillRunning:
     sums: list[Fraction] = [stream.at(0)]
     # Monotone stacks over sums[1..]: ``highs`` holds indices whose sums
     # strictly fall left to right, ``lows`` indices whose sums strictly
@@ -451,7 +452,7 @@ def _run_window_heuristic(
             first += 1
         if first > cap:
             failures = tuple(WindowFailure(n, *window(n)) for n in range(1, cap + 1))
-            return Halted(k, CauchyWindowCertificate(k, tolerance, failures))
+            return DetectorHalted(k, CauchyWindowCertificate(k, tolerance, failures))
         witness_log.append((k, first))
     completed = len(witness_log)
     trace = tuple((k, sums[k]) for k in range(1, min(completed, TRACE_POINTS) + 1))
@@ -460,7 +461,7 @@ def _run_window_heuristic(
 
 def recheck_certificate(
     stream: CoefficientStream,
-    outcome: Halted,
+    outcome: DetectorHalted,
     knobs: CauchyWindowKnobs | None = None,
 ) -> bool:
     """Re-establish a halt certificate by independent exact recomputation.
@@ -481,7 +482,7 @@ def recheck_certificate(
     if not 1 <= last == outcome.iteration:
         return False
     if threshold:
-        if isinstance(_run_threshold(stream, cert.index - 1, None), Halted):
+        if isinstance(_run_threshold(stream, cert.index - 1, None), DetectorHalted):
             return False
         value = partial_sum(stream, _POINT_ONE, cert.index)
         return value == cert.partial_sum and abs(value) > cert.index

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from .coefficients import (
@@ -234,7 +235,7 @@ class WitnessedDivergence(_Record):
         return {"ratio": self.ratio, "threshold": self.threshold}
 
 
-class WitnessedBoundViolation(_Record, eq=False):
+class WitnessedBoundViolation(_Record):
     """A claimed bound failed; ``detail`` holds the exact violated values."""
 
     detail: dict
@@ -262,7 +263,7 @@ class _Report:
         return "\n".join(self.report_lines(True) + trace_lines(self.trace, True)) + "\n"
 
 
-class SeriesProbeReport(_Report, _Record, eq=False):
+class SeriesProbeReport(_Report, _Record):
     """Outcome of a budgeted probe.
 
     ``witness`` is an (index, value) pair exactly when the verdict is a
@@ -622,10 +623,10 @@ def check_effective_criterion(
 
     For each k up to ``k_max`` the bound is checked for every n from the
     rate's promised start index up to ``n_budget``. Float estimates only
-    screen candidates; a violation is reported solely when the exact
-    comparison ``|a_n| >= (1/R + 2^-k)^n`` confirms it, so the certificate
-    re-checks exactly. Consistency is falsification-only evidence and
-    proves nothing about effectiveness.
+    screen candidates (none below the normal float range); a violation is
+    reported solely when the exact comparison ``|a_n| >= (1/R + 2^-k)^n``
+    confirms it, so the certificate re-checks exactly. Consistency is
+    falsification-only evidence and proves nothing about effectiveness.
     """
     radius = Fraction(radius)
     if radius <= 0:
@@ -636,7 +637,8 @@ def check_effective_criterion(
     inv_radius = 1 / radius
     for k in range(k_max + 1):
         bound = inv_radius + Fraction(1, 2 ** k)
-        bound_f = float(min(bound, 1e308))
+        # The estimates' error bound holds in the normal float range only: below it, screen nothing.
+        bound_f = float(min(bound, 1e308)) if bound >= sys.float_info.min else 0.0
         start = max(_promised_terms(m_rate, k, _ZERO), 1)
         bound_power = bound ** start if start <= n_budget else None
         for n in range(start, n_budget + 1):

@@ -630,6 +630,18 @@ def test_probe_effective_bound_past_the_float_range(tmp_path, capsys, body, code
         assert out == "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 3\n"
 
 
+def test_probe_effective_confirms_a_tie_below_the_normal_float_range(tmp_path, capsys):
+    # 1/R = 4099 * 2^-1075 lies between two subnormal floats, and
+    # a_1 = 1/R + 2^-1200 ties the bound at k = 1200: only the exact comparison sees it.
+    spec = series_file(tmp_path, f"explicit 0 {4099 * 2 ** 125 + 1}/{2 ** 1200}")
+    argv = ["probe", spec, "--kind", "effective", "--rate", "constant:1",
+            "--radius", f"{2 ** 1075}/4099", "--k-max", "1205", "--n-budget", "1", "--kv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "verdict=WITNESSED_BOUND_VIOLATION\n" in out
+    assert "\nk=1200\n" in out and "\nn=1\n" in out
+
+
 def test_probe_modulus_consistent(tmp_path, capsys):
     spec = series_file(tmp_path, "builtin geometric 1/2")
     code = main(

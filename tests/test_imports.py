@@ -267,7 +267,7 @@ def test_only_the_report_base_renders_and_each_outcome_gives_its_lines():
         renderers += [f"{path.stem}.{name}" for name in found]
         outcomes.update(built)
     assert sorted(renderers) == ["series._Report.to_kv", "series._Report.to_text"]
-    assert outcomes == dict.fromkeys(["SeriesProbeReport", "Halted", "StillRunning"], True)
+    assert outcomes == dict.fromkeys(["SeriesProbeReport", "DetectorHalted", "StillRunning"], True)
     # The walk sees every subclass: none is built on an alias of _Report.
     assert outcomes.keys() == {cls.__name__ for cls in _Report.__subclasses__()}
 
@@ -324,22 +324,21 @@ def test_package_reexports_each_modules_all_and_nothing_else():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not any(alias.name == "*" for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) for alias in node.names)
-    # No import, name, string or table in __init__.py spells a public name but the alias.
+    # No import, name, string or table in __init__.py spells a public name.
     spelled = {
         getattr(node, key)
         for node in ast.walk(tree)
         for key in ("id", "attr", "name", "asname", "arg", "value")
         if isinstance(getattr(node, key, None), str)
     }
-    assert spelled & set(haltseries.__all__) == {"DetectorHalted"}
+    assert spelled & set(haltseries.__all__) == set()
     modules = [importlib.import_module(f"haltseries.{name}") for name in CHAIN]
     joined = [name for module in modules for name in module.__all__]
-    assert haltseries.__all__ == joined + ["DetectorHalted"]
+    assert haltseries.__all__ == joined
     assert len(set(haltseries.__all__)) == len(haltseries.__all__)
     for module in modules:
         for name in module.__all__:
             assert getattr(haltseries, name) is getattr(module, name), name
-    assert haltseries.DetectorHalted is modules[-1].Halted
     public = {
         name
         for name in dir(haltseries)
@@ -364,10 +363,9 @@ PUBLIC = [
     "effective_partial_sum", "ratio_test_probe", "root_estimate", "check_effective_criterion",
     "check_modulus",
     "CauchyWindowKnobs", "DetectorProgram", "ThresholdCertificate", "WindowFailure",
-    "CauchyWindowCertificate", "StillRunning", "forward_reduce",
+    "CauchyWindowCertificate", "DetectorHalted", "StillRunning", "forward_reduce",
     "semidecide_halting_via_series", "build_threshold_detector", "build_cauchy_window_detector",
     "build_cauchy_window_heuristic", "run_detector", "recheck_certificate",
-    "DetectorHalted",
 ]
 
 

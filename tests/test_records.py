@@ -2,11 +2,11 @@
 
 Every class built on ``machine._Record`` is compared with its twin, a
 frozen dataclass that ``dataclasses.make_dataclass`` builds with the same
-name, fields, defaults, ``eq`` flag and ``__post_init__``: on printing,
-equality and hashing, ``__match_args__``, refused writes, the errors its
-constructor raises, and copies made by ``pickle``, ``copy`` and
-``__replace__``. The twin's fields follow the dataclass rule, read here
-from the annotations along the class's MRO, not from ``_Record``.
+name, fields, defaults and ``__post_init__``: on printing, equality and
+hashing, ``__match_args__``, refused writes, the errors its constructor
+raises, and copies made by ``pickle``, ``copy`` and ``__replace__``. The
+twin's fields follow the dataclass rule, read here from the annotations
+along the class's MRO, not from ``_Record``.
 """
 
 import copy
@@ -33,7 +33,7 @@ from haltseries.reductions import (
     CauchyWindowCertificate,
     CauchyWindowKnobs,
     DetectorProgram,
-    Halted,
+    DetectorHalted,
     StillRunning,
     ThresholdCertificate,
     WindowFailure,
@@ -70,11 +70,9 @@ SAMPLES = [
     (ThresholdCertificate, (2, Fraction(3)), {"index": 3}),
     (WindowFailure, (1, 1, 2, Fraction(1, 2)), {"gap": Fraction(1)}),
     (CauchyWindowCertificate, (2, Fraction(1, 4), (FAILURE,)), {"failures": ()}),
-    (Halted, (2, CERT), {"iteration": 3}),
+    (DetectorHalted, (2, CERT), {"iteration": 3}),
     (StillRunning, (5, ((1, Fraction(1)),), (0, 1), ((1, 1),)), {"budget": 6}),
 ]
-#: The records that keep identity equality, as ``eq=False`` dataclasses.
-IDENTITY_EQ = {WitnessedBoundViolation, SeriesProbeReport}
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
 
@@ -86,15 +84,14 @@ def record_classes(base=_Record) -> set[type]:
 
 
 def twin(cls):
-    """``cls`` as a frozen dataclass with the same name, fields, defaults,
-    ``eq`` and ``__post_init__``."""
+    """``cls`` as a frozen dataclass with the same name, fields, defaults
+    and ``__post_init__``."""
     names = []
     for klass in reversed(cls.__mro__):
         names += [name for name in klass.__dict__.get("__annotations__", {}) if name not in names]
     fields = [(name, object, dataclasses.field(default=getattr(cls, name)))
               if hasattr(cls, name) else (name, object) for name in names]
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
-                                      eq=cls not in IDENTITY_EQ,
                                       namespace={"__post_init__": cls.__post_init__})
 
 
@@ -117,10 +114,8 @@ def test_record_prints_hashes_and_matches_as_its_twin(cls, args, changes):
     record, double = cls(*args), Twin(*args)
     assert repr(record) == repr(double)
     assert cls.__match_args__ == Twin.__match_args__
-    if cls in IDENTITY_EQ:
-        assert hash(record) == object.__hash__(record) and hash(double) == object.__hash__(double)
-    else:
-        assert hash(record) == hash(double)
+    # A hash value, or TypeError when a field holds a dict, as in WitnessedBoundViolation.
+    assert outcome(lambda: hash(record)) == outcome(lambda: hash(double))
     values = tuple(getattr(record, name) for name in cls.__match_args__)
     for a, b in ((record, double), (record, values), (double, values)):
         assert (a == b, b == a, a != b, b != a) == (False, False, True, True)
@@ -178,7 +173,7 @@ def test_record_copies_as_its_twin(cls, args, changes):
               record.__replace__()]
     for again in copies:
         assert type(again) is cls and repr(again) == repr(record)
-        assert (again == record) is (cls not in IDENTITY_EQ)
+        assert again == record
         assert vars(again).keys() == vars(record).keys()
     assert repr(copy.copy(double)) == repr(double)
     changed = record.__replace__(**changes)

@@ -234,7 +234,7 @@ def test_semidecision_witnesses_exactly_when_halted_and_budget_reaches_2_over_r(
         (
             DetectorHalted(1, ThresholdCertificate(1, Fraction(2))),
             True,
-            "Halted(iteration=1, certificate=ThresholdCertificate(index=1,"
+            "DetectorHalted(iteration=1, certificate=ThresholdCertificate(index=1,"
             " partial_sum=Fraction(2, 1)))",
         ),
         (StillRunning(7), False, "StillRunning(budget=7, trace=(), final_bounds=None,"
@@ -939,10 +939,10 @@ def _recheck_under_a_512_mb_cap(certificate: str, knobs: str) -> str:
         "from fractions import Fraction\n"
         "from haltseries import (CauchyWindowCertificate, CauchyWindowKnobs, WindowFailure,\n"
         "    builtin_stream, recheck_certificate)\n"
-        "from haltseries.reductions import Halted\n"
+        "from haltseries.reductions import DetectorHalted\n"
         "h = 10 ** 12\n"
         f"cert = {certificate}\n"
-        f"print(recheck_certificate(builtin_stream('one'), Halted(h, cert), {knobs}))\n"
+        f"print(recheck_certificate(builtin_stream('one'), DetectorHalted(h, cert), {knobs}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,

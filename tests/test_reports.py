@@ -1,6 +1,6 @@
 """The outcome renderers print what the per-class renderers they replaced printed.
 
-``SeriesProbeReport``, ``Halted`` and ``StillRunning`` each give
+``SeriesProbeReport``, ``DetectorHalted`` and ``StillRunning`` each give
 ``report_lines(kv)`` and render through one base, ``series._Report``.
 Before that each class had its own ``to_text``/``to_kv`` pair; those
 bodies are kept below, unchanged apart from taking the outcome as an

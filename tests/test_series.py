@@ -855,6 +855,61 @@ def test_effective_criterion_respects_rate_start_index():
     assert isinstance(missed.verdict, ConsistentUpToBudget)
 
 
+def scanned_violation(stream, rate, radius, k_max, n_budget):
+    """The effective-growth probe written plainly, with no float screen: the
+    first (k, n) whose exact comparison ``|a_n| >= (1/R + 2^-k)^n`` holds."""
+    for k in range(k_max + 1):
+        bound = 1 / radius + Fraction(1, 2 ** k)
+        for n in range(max(rate.terms_for(k), 1), n_budget + 1):
+            if abs(stream.at(n)) >= bound ** n:
+                return k, n
+    return None
+
+
+#: 1/R = (2049 + 1/2) * 2^-1074 lies between two subnormal floats, and
+#: a_1 = 1/R + 2^-1200 ties the bound at k = 1200.
+SUBNORMAL_MID = Fraction(2 * 2049 + 1, 2 ** 1075)
+
+
+@st.composite
+def effective_ties(draw):
+    """An explicit stream whose a_n are zeros and exact ties
+    ``(1/R + 2^-k)^n``, with 1/R in the normal float range, at the midpoint
+    of two subnormal floats, or above 1e308."""
+    inv_radius = draw(st.one_of(
+        st.builds(lambda p, e: p * Fraction(2) ** e,
+                  st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-1074, 970)),
+        # A small m, where one float step is a large relative error.
+        st.integers(0, 2 ** 20).map(lambda m: Fraction(2 * m + 1, 2 ** 1075)),
+        st.builds(lambda p, e: Fraction(p * 2 ** e), st.integers(1, 2 ** 60), st.integers(1024, 1100)),
+    ))
+    n_budget = draw(st.integers(1, 3))
+    # k past 1074 moves a subnormal bound by less than one float step.
+    ks = draw(st.lists(st.one_of(st.none(), st.integers(0, 1205), st.integers(1070, 1205)),
+                       min_size=n_budget, max_size=n_budget))
+    prefix = [Fraction(0)] + [Fraction(0) if k is None else (inv_radius + Fraction(1, 2 ** k)) ** n
+                              for n, k in enumerate(ks, 1)]
+    k_max = max((k for k in ks if k is not None), default=0) + draw(st.integers(-1, 2))
+    rate = LinearRate(0, draw(st.integers(0, 2)))
+    return ExplicitStream(tuple(prefix)), rate, 1 / inv_radius, max(k_max, 0), n_budget
+
+
+@given(effective_ties())
+@settings(max_examples=100, deadline=None)
+@example((ExplicitStream((0, SUBNORMAL_MID + Fraction(1, 2 ** 1200))), LinearRate(0, 1),
+          1 / SUBNORMAL_MID, 1205, 1))
+def test_effective_criterion_matches_an_unscreened_scan(case):
+    stream, rate, radius, k_max, n_budget = case
+    report = check_effective_criterion(stream, rate, radius, k_max, n_budget)
+    expected = scanned_violation(stream, rate, radius, k_max, n_budget)
+    if expected is None:
+        assert report.verdict == ConsistentUpToBudget(n_budget)
+    else:
+        k, n = expected
+        assert (report.verdict.detail["k"], report.verdict.detail["n"]) == (k, n)
+        assert report.witness == (n, abs(stream.at(n)))
+
+
 # ---------------------------------------------------------------------------
 # rate falsification
 # ---------------------------------------------------------------------------
@@ -887,6 +942,20 @@ def test_check_modulus_dishonest_rate_is_caught_exactly():
     # certificate re-checks from scratch
     sums = prefix_sums(builtin_stream("geometric", Fraction(1, 2)), UNIT, detail["terms"])
     assert abs(sums[detail["terms"]] - 2) == detail["distance"]
+
+
+def test_equal_probe_reports_compare_and_hash_equal():
+    # Reports are records: they compare by their fields, not by identity.
+    args = (builtin_stream("geometric", Fraction(1, 2)), UNIT, Fraction(2), LinearRate(0, 0), 5)
+    failed = check_modulus(*args)
+    assert isinstance(failed.verdict, WitnessedBoundViolation)
+    assert check_modulus(*args) == failed
+    with pytest.raises(TypeError):
+        hash(failed)  # the verdict's detail is a dict, as in a frozen dataclass
+    zero = builtin_stream("zero")
+    first, again = (check_modulus(zero, UNIT, Fraction(0), LinearRate(0, 0), 30) for _ in range(2))
+    assert first.verdict == ConsistentUpToBudget(30)
+    assert first == again and hash(first) == hash(again)
 
 
 def test_check_modulus_wrong_limit_is_caught():

@@ -41,8 +41,11 @@ class _Parser(argparse.ArgumentParser):
         # Read -1/3 as a value, as argparse reads -1 and -0.5: "--r -1/3" == "--r=-1/3".
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
-    # Usage errors must exit 1, not argparse's default 2.
+    # Usage errors must exit 1, not argparse's default 2. Python 3.13 lists
+    # the valid choices bare: quote them, as 3.10-3.12 do.
     def error(self, message):
+        message = re.sub(r"(?<=\(choose from )[^')]+(?=\))",
+                         lambda m: ", ".join(map(repr, m[0].split(", "))), message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 

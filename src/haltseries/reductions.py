@@ -350,12 +350,9 @@ def run_detector(
 
 
 def _scaled_bounds(value: Fraction) -> tuple[int, int]:
-    # Directed rounding to multiples of 2^-_SHIFT; exact for dyadic input.
-    num, den = value.numerator, value.denominator
-    scaled = num << _SHIFT
-    lo = scaled // den
-    hi = -((-scaled) // den)
-    return lo, hi
+    # Directed rounding to multiples of 2^-_SHIFT, as the loop rounds a term; exact for dyadic input.
+    lo, rem = divmod(value.numerator << _SHIFT, value.denominator)
+    return lo, lo + (rem != 0)
 
 
 def _run_threshold(
@@ -376,9 +373,9 @@ def _run_threshold(
     checked = 0
     lo, hi = _scaled_bounds(exact)
     trace: list[tuple[int, Fraction]] = []
-    completed = 0
     for n in range(1, budget + 1):
         if cancel is not None and cancel():
+            budget = n - 1
             break
         a = stream.at(n)
         num, den = a.as_integer_ratio()
@@ -395,9 +392,8 @@ def _run_threshold(
             if abs(checkpoint) > n:
                 return DetectorHalted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
             lo, hi = _scaled_bounds(checkpoint)
-        completed = n
     return StillRunning(
-        budget=completed,
+        budget=budget,
         trace=tuple(trace),
         final_bounds=(Fraction(lo, _UNIT), Fraction(hi, _UNIT)),
     )
@@ -482,7 +478,7 @@ def recheck_certificate(
     if not 1 <= last == outcome.iteration:
         return False
     if threshold:
-        if isinstance(_run_threshold(stream, cert.index - 1, None), DetectorHalted):
+        if _run_threshold(stream, cert.index - 1, None).halted:
             return False
         value = partial_sum(stream, _POINT_ONE, cert.index)
         return value == cert.partial_sum and abs(value) > cert.index

@@ -635,6 +635,7 @@ def check_effective_criterion(
         raise ValueError("k_max must be >= 0 and n_budget >= 1")
     estimates = root_estimate(stream, n_budget).estimates  # (n, estimate) for n = 1, 2, ...
     inv_radius = 1 / radius
+    verdict, witness = ConsistentUpToBudget(n_budget), None
     for k in range(k_max + 1):
         bound = inv_radius + Fraction(1, 2 ** k)
         # The estimates' error bound holds in the normal float range only: below it, screen nothing.
@@ -652,19 +653,12 @@ def check_effective_criterion(
                         "coefficient_abs": magnitude,
                         "bound": bound,
                     }
-                    return SeriesProbeReport(
-                        verdict=WitnessedBoundViolation(detail),
-                        witness=(n, magnitude),
-                        trace=(),
-                        budget_used=n_budget,
-                    )
+                    verdict, witness = WitnessedBoundViolation(detail), (n, magnitude)
+                    break
             bound_power *= bound
-    return SeriesProbeReport(
-        verdict=ConsistentUpToBudget(n_budget),
-        witness=None,
-        trace=(),
-        budget_used=n_budget,
-    )
+        if witness is not None:
+            break
+    return SeriesProbeReport(verdict=verdict, witness=witness, trace=(), budget_used=n_budget)
 
 
 def check_modulus(

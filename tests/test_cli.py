@@ -23,7 +23,7 @@ from haltseries import (
     parse_series_spec,
     run_detector,
 )
-from haltseries.cli import main
+from haltseries.cli import _Parser, main
 
 import corpus
 
@@ -90,6 +90,18 @@ def test_missing_required_flag_exits_one(halt_file):
     with pytest.raises(SystemExit) as err:
         main(["simulate", halt_file, "--input", "0"])
     assert err.value.code == 1
+
+
+def test_usage_errors_quote_the_choices_on_every_python(capsys):
+    # Python 3.13's argparse lists the choices bare, 3.10-3.12 quote each one.
+    bare = "argument --kind: invalid choice: 'nope' (choose from threshold, cauchy, cauchy-heuristic)"
+    with pytest.raises(SystemExit) as err:
+        _Parser(prog="haltseries detect").error(bare)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "haltseries detect: error: argument --kind: invalid choice: 'nope' "
+        "(choose from 'threshold', 'cauchy', 'cauchy-heuristic')\n"
+    )
 
 
 @pytest.mark.parametrize(

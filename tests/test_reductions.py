@@ -430,6 +430,20 @@ def _from_zero_threshold_run(stream, budget):
     )
 
 
+@given(
+    st.integers(-(2**300), 2**300),
+    st.one_of(st.integers(0, 200).map(lambda e: 2**e), st.integers(1, 2**200)),
+)
+@example(1, 2**200)  # tiny and positive: [0, 1]
+@example(-1, 2**200)  # tiny and negative: [-1, 0]
+@example(-(2**1000) - 1, 3)  # huge
+@example(-3, 2**64)  # an exact multiple of 2^-64
+@settings(deadline=None, max_examples=300)
+def test_scaled_bounds_floor_and_ceil_the_scaled_value(num, den):
+    x = Fraction(num, den)
+    assert reductions._scaled_bounds(x) == (math.floor(x * 2**64), math.ceil(x * 2**64))
+
+
 @st.composite
 def hovering_streams(draw):
     """Unshaped streams with ``S_N = ±(N + e_N)`` for drawn non-dyadic

@@ -37,7 +37,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import takewhile
+from typing import Callable, Iterable, Union
 
 from .coefficients import CoefficientStream, HaltingEncoded, format_rational
 from .machine import MachineProgram, _Record
@@ -329,21 +330,24 @@ def run_detector(
 ) -> DetectorHalted | StillRunning:
     """Run a detector for at most ``budget`` outer iterations.
 
-    Deterministic given the stream. ``cancel`` is polled at iteration
-    boundaries; a cancelled run reports ``StillRunning`` with the number
-    of completed iterations.
+    Deterministic given the stream. ``cancel`` is polled here alone, once
+    just before each iteration; a cancelled run reports ``StillRunning``
+    with the number of completed iterations.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    iterations: Iterable[int] = range(1, budget + 1)
+    if cancel is not None:
+        iterations = takewhile(lambda _: not cancel(), iterations)
     if detector.threshold:
-        return _run_threshold(detector.stream, budget, cancel)
+        return _run_threshold(detector.stream, iterations)
     if detector.heuristic:
-        return _run_window_heuristic(detector.stream, detector.knobs, budget, cancel)
+        return _run_window_heuristic(detector.stream, detector.knobs, iterations)
     # The literal rule's first start at horizon k, k itself, gives the
     # single-point window [k, k] with spread 0 < 2^-k: it always qualifies,
     # so the outcome follows from the iterations completed, and only the
     # trace needs coefficients.
-    completed = budget if cancel is None else next((k for k in range(budget) if cancel()), budget)
+    completed = budget if cancel is None else sum(1 for _ in iterations)
     sums = prefix_sums(detector.stream, _POINT_ONE, min(completed, TRACE_POINTS))
     log = tuple((k, k) for k in range(1, completed + 1))
     return StillRunning(completed, tuple(enumerate(sums))[1:], witness_log=log)
@@ -356,11 +360,9 @@ def _scaled_bounds(value: Fraction) -> tuple[int, int]:
 
 
 def _run_threshold(
-    stream: CoefficientStream,
-    budget: int,
-    cancel: Callable[[], bool] | None,
+    stream: CoefficientStream, iterations: Iterable[int]
 ) -> DetectorHalted | StillRunning:
-    """Threshold loop over a sound scaled-integer enclosure of S_N.
+    """Threshold loop over a sound scaled-integer enclosure of S_N, N in ``iterations``.
 
     Whenever the enclosure does not rule out ``|S_N| > N``, the exact
     partial sum decides: it either becomes the halt certificate or
@@ -373,10 +375,8 @@ def _run_threshold(
     checked = 0
     lo, hi = _scaled_bounds(exact)
     trace: list[tuple[int, Fraction]] = []
-    for n in range(1, budget + 1):
-        if cancel is not None and cancel():
-            budget = n - 1
-            break
+    n = 0  # the iterations completed
+    for n in iterations:
         a = stream.at(n)
         num, den = a.as_integer_ratio()
         step, rem = divmod(num << _SHIFT, den)
@@ -393,7 +393,7 @@ def _run_threshold(
                 return DetectorHalted(n, ThresholdCertificate(index=n, partial_sum=checkpoint))
             lo, hi = _scaled_bounds(checkpoint)
     return StillRunning(
-        budget=budget,
+        budget=n,
         trace=tuple(trace),
         final_bounds=(Fraction(lo, _UNIT), Fraction(hi, _UNIT)),
     )
@@ -402,8 +402,7 @@ def _run_threshold(
 def _run_window_heuristic(
     stream: CoefficientStream,
     knobs: CauchyWindowKnobs,
-    budget: int,
-    cancel: Callable[[], bool] | None,
+    iterations: Iterable[int],
 ) -> DetectorHalted | StillRunning:
     sums: list[Fraction] = [stream.at(0)]
     # Monotone stacks over sums[1..]: ``highs`` holds indices whose sums
@@ -420,9 +419,7 @@ def _run_window_heuristic(
         lo_at = lows[bisect_left(lows, start)]
         return lo_at, hi_at, sums[hi_at] - sums[lo_at]
 
-    for k in range(1, budget + 1):
-        if cancel is not None and cancel():
-            break
+    for k in iterations:
         horizon, cap, tolerance = knobs.rule(k)
         while len(sums) <= horizon:
             a = stream.at(len(sums))
@@ -443,7 +440,7 @@ def _run_window_heuristic(
         # shrinks with the horizon, and the tolerance never grows. So the
         # qualifying starts are a tail of 1..cap, and no start below the
         # last witness qualifies again: scan forward from it. Over the whole
-        # run that is at most budget + cap start checks.
+        # run that is at most one start check per iteration, plus cap.
         while first <= cap and window(first)[2] >= tolerance:
             first += 1
         if first > cap:
@@ -478,7 +475,7 @@ def recheck_certificate(
     if not 1 <= last == outcome.iteration:
         return False
     if threshold:
-        if _run_threshold(stream, cert.index - 1, None).halted:
+        if _run_threshold(stream, range(1, cert.index)).halted:
             return False
         value = partial_sum(stream, _POINT_ONE, cert.index)
         return value == cert.partial_sum and abs(value) > cert.index

@@ -16,6 +16,7 @@ as the rate) and can be falsified, never verified, by :func:`check_modulus`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -633,7 +634,8 @@ def check_effective_criterion(
         raise ValueError("radius must be positive")
     if k_max < 0 or n_budget < 1:
         raise ValueError("k_max must be >= 0 and n_budget >= 1")
-    estimates = root_estimate(stream, n_budget).estimates  # (n, estimate) for n = 1, 2, ...
+    # Estimated when the screen first reaches n, so an early report reads early terms only.
+    estimate = functools.cache(lambda n: _root_growth(stream.at(n), n))
     inv_radius = 1 / radius
     verdict, witness = ConsistentUpToBudget(n_budget), None
     for k in range(k_max + 1):
@@ -644,7 +646,7 @@ def check_effective_criterion(
         bound_power = bound ** start if start <= n_budget else None
         for n in range(start, n_budget + 1):
             # Screen generously in floats, then confirm exactly.
-            if estimates[n - 1][1] * (1 + 1e-6) >= bound_f:
+            if estimate(n) * (1 + 1e-6) >= bound_f:
                 magnitude = abs(stream.at(n))
                 if magnitude >= bound_power:
                     detail = {

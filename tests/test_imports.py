@@ -11,7 +11,8 @@ change between Python versions: exact sums reduce with ``Fraction`` and
 child's start-up: the package's records build on ``machine._Record``.
 A fifth keeps one way to render an outcome: only ``series._Report``
 defines ``to_text`` and ``to_kv``, and each class built on it gives its
-``report_lines``.
+``report_lines``. A sixth keeps one cancel poll: in ``reductions`` only
+``run_detector`` names ``cancel``, and the runners take their iterations.
 The modules form an import chain, ``machine``, ``coefficients``,
 ``series``, ``reductions``, in which each imports only the ones before
 it; ``__init__.py`` loads them along that chain on first use, and the
@@ -270,6 +271,36 @@ def test_only_the_report_base_renders_and_each_outcome_gives_its_lines():
     assert outcomes == dict.fromkeys(["SeriesProbeReport", "DetectorHalted", "StillRunning"], True)
     # The walk sees every subclass: none is built on an alias of _Report.
     assert outcomes.keys() == {cls.__name__ for cls in _Report.__subclasses__()}
+
+
+def cancel_namers(source: str) -> list[str]:
+    """Each top-level definition of ``source`` (its line, for any other
+    statement) that names ``cancel`` anywhere inside: as a variable, an
+    argument, a keyword or an attribute."""
+    namers = []
+    for statement in ast.parse(source).body:
+        for node in ast.walk(statement):
+            spelled = [getattr(node, key, None) for key in ("id", "arg", "attr")]
+            if "cancel" in spelled:
+                namers.append(getattr(statement, "name", statement.lineno))
+                break
+    return namers
+
+
+def test_cancel_namers_are_found():
+    source = (
+        "def run_detector(budget, cancel=None):\n    return lambda _: not cancel()\n"
+        "def _run(stream, iterations):\n    for n in iterations: pass\n"
+        "def _poll(job):\n    return job.cancel()\n"
+        "class Runner:\n    def run(self, hook): return go(cancel=hook)\n"
+        "cancel = None\n'cancel'\n"
+    )
+    assert cancel_namers(source) == ["run_detector", "_poll", "Runner", 9]
+
+
+def test_only_run_detector_polls_cancel():
+    # The runners take the iterations to run; one place turns the hook into them.
+    assert cancel_namers((PACKAGE / "reductions.py").read_text()) == ["run_detector"]
 
 
 def package_imports(source: str) -> list[tuple[int, str]]:

@@ -540,6 +540,51 @@ def test_detector_cancellation_at_iteration_boundaries():
     assert heuristic.trace == ((1, 0), (2, 0))
 
 
+def polled_run(build, stream, budget, fire_at=None):
+    """A run whose ``cancel`` fires on poll ``fire_at`` (never when None),
+    and the count of coefficients read at each poll."""
+    counted, polls = corpus.Counting(stream), []
+
+    def cancel():
+        polls.append(counted.reads)
+        return len(polls) == fire_at
+
+    return run_detector(build(counted), budget, cancel), polls
+
+
+#: Per detector kind: the coefficients read before iteration i starts, and a
+#: stream it halts on with the halt's iteration (None for the literal window).
+POLL_CONTRACT = [
+    (build_threshold_detector, lambda i: i, (ExplicitStream((0,) * 5 + (10,)), 5)),
+    (build_cauchy_window_heuristic, lambda i: 2 * i - 1, (ExplicitStream((0,) * 10 + (1,)), 5)),
+    (build_cauchy_window_detector, lambda i: 0, None),
+]
+
+
+@pytest.mark.parametrize("build, read_before, halting", POLL_CONTRACT,
+                         ids=["threshold", "heuristic", "literal"])
+def test_cancel_is_polled_once_just_before_each_iteration(build, read_before, halting):
+    budget, zero = 30, ExplicitStream(())
+    # An exhausted budget B polls B times, each before its iteration reads.
+    outcome, polls = polled_run(build, zero, budget)
+    assert (outcome.halted, outcome.budget) == (False, budget)
+    assert polls == [read_before(i) for i in range(1, budget + 1)]
+    # A halt at N polls N times.
+    if halting is not None:
+        stream, n = halting
+        outcome, polls = polled_run(build, stream, budget)
+        assert outcome.iteration == n
+        assert polls == [read_before(i) for i in range(1, n + 1)]
+        # Firing on poll N stops the run before the iteration that would halt.
+        outcome, polls = polled_run(build, stream, budget, fire_at=n)
+        assert (outcome.halted, outcome.budget, len(polls)) == (False, n - 1, n)
+    # A hook that fires on poll j reports j - 1 completed iterations and is polled no more.
+    for j in (1, 2, 7, budget):
+        outcome, polls = polled_run(build, zero, budget, fire_at=j)
+        assert (outcome.halted, outcome.budget) == (False, j - 1)
+        assert polls == [read_before(i) for i in range(1, j + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Cauchy-window detector
 # ---------------------------------------------------------------------------

@@ -845,6 +845,14 @@ def test_effective_criterion_holds_no_second_table_of_estimates():
     assert checked < 1.1 * estimated
 
 
+def test_effective_criterion_reads_only_the_terms_its_screen_reaches():
+    # k = 0 screens a_1 .. a_4 and confirms a_4: five reads, at any budget.
+    stream = corpus.Counting(builtin_stream("factorial_tail", 0))
+    report = check_effective_criterion(stream, LinearRate(0, 1), Fraction(1), 20, 40_000)
+    assert (report.verdict.detail["k"], report.verdict.detail["n"]) == (0, 4)
+    assert stream.reads == 5
+
+
 def test_effective_criterion_respects_rate_start_index():
     # starting the scan past the only violation hides it
     stream = ExplicitStream((Fraction(1), Fraction(50)), Fraction(0))

@@ -4,9 +4,12 @@ Evaluation points are non-negative rationals standing for the modulus
 ``|z|``; every convergence-relevant quantity here (term ratios, root
 growth, tail bounds) depends on ``|z|`` only. All partial sums and
 certificates are exact rationals. Probes are three-valued: they either
-produce a finite, independently re-checkable witness (of divergence or of
-a violated bound) or report that everything stayed consistent up to the
-given budget. Nothing in this module ever claims convergence outright.
+produce a witness or report that everything stayed consistent up to the
+given budget. A violated bound is a finite certificate that re-checks by
+exact recomputation. A divergence witness is an index from which the
+stream's term shape proves that every term ratio clears the threshold; its
+ratio there re-checks from two terms. Nothing in this module ever claims
+convergence outright.
 
 Rate functions, which promise the index through which partial sums reach
 a target accuracy, are first-class values supplied by the caller. They are
@@ -17,7 +20,6 @@ as the rate) and can be falsified, never verified, by :func:`check_modulus`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -221,8 +223,8 @@ def _promised_terms(rate: RateFunction, m: int, r: Fraction) -> int:
 
 
 class WitnessedDivergence(_Record):
-    """Term ratios crossed the threshold at ``index`` and stayed there
-    through every later sampled ratio within the budget."""
+    """Term ratios crossed the threshold at ``index`` and, by the term
+    shape, at every later index."""
 
     index: int
     ratio: Fraction
@@ -492,29 +494,20 @@ def _trace_indices(budget: int) -> list[int]:
     return picks[:TRACE_POINTS]
 
 
-def _term_ratios(terms):
-    """Yield ``(n, p, q)`` with ``|a_{n+1} / a_n| = p / q`` and ``q > 0``, as
-    unreduced cross-products, for every n where both ``a_n`` and ``a_{n+1}``
-    of ``terms`` (``a_0, a_1, ...``) are nonzero, in order."""
-    for n, (current, nxt) in enumerate(itertools.pairwise(terms)):
-        if current and nxt:
-            yield n, abs(nxt.numerator) * current.denominator, abs(current.numerator) * nxt.denominator
-
-
 def _run_start(shape, budget: int, scale_p: int, scale_q: int) -> int | None:
-    """The first n of the unbroken run of crossings
-    ``|a*n + b| * scale_p >= (c*n + d) * scale_q`` that ends at ``budget``,
-    within ``[shape.start, budget]``, or ``None`` when ``budget`` misses.
+    """The first n in ``[shape.start, budget]`` from which the crossing
+    ``|a*n + b| * scale_p >= (c*n + d) * scale_q`` holds at every later n,
+    past the budget too, or ``None`` when there is none.
 
-    A :class:`TermShape`'s numerator form keeps its sign at ``start`` on the
-    range and its denominator form is positive there, so a crossing is one
-    linear inequality ``A*n + B >= 0``. With ``A > 0`` it fails exactly for
-    ``n < ceil(-B/A)``; otherwise it holds on the whole range once it holds
-    at ``budget``."""
+    A :class:`TermShape`'s numerator form keeps its sign at ``start`` on and
+    its denominator form is positive there, so a crossing is one linear
+    inequality ``A*n + B >= 0``. With ``A < 0`` it fails for all large n, so
+    no n qualifies; with ``A > 0`` it fails exactly for ``n < ceil(-B/A)``;
+    with ``A = 0`` it holds at every n or at none."""
     (a, b), (c, d), start = shape.num, shape.den, shape.start
     sign = 1 if a * start + b > 0 else -1
     A, B = sign * a * scale_p - c * scale_q, sign * b * scale_p - d * scale_q
-    if start > budget or A * budget + B < 0:
+    if start > budget or A < 0 or A * budget + B < 0:
         return None
     return max(start, -(B // A)) if A > 0 else start
 
@@ -525,18 +518,16 @@ def ratio_test_probe(
     threshold: Fraction,
     budget: int,
 ) -> SeriesProbeReport:
-    """Scan term ratios for a persistent threshold crossing.
+    """d'Alembert's ratio test, proved from the stream's term shape.
 
-    For every n in ``0..budget`` with both ``a_n`` and ``a_{n+1}`` nonzero
-    the exact ratio ``|a_{n+1}| * r / |a_n|`` is compared against the
-    threshold. The verdict is a divergence witness at the first index from
-    which every later sampled ratio (up to the budget) also clears the
-    threshold; one large ratio on its own proves nothing. Indices where
-    either term vanishes are not sampled and do not interrupt a run.
-    A stream with a term shape finds the witness in closed form from its
-    ratio, whose numerator keeps one sign and whose denominator is positive
-    (:func:`_run_start`); any other is read term by term, each index once.
-    Both give the same report.
+    The verdict is a divergence witness at the first index n within the
+    budget from which the exact ratio ``|a_{n+1}| * r / |a_n|`` clears the
+    threshold at every later index, as the shape's linear forms show in
+    closed form (:func:`_run_start`); one large ratio, or a run of them that
+    ends somewhere past the budget, proves nothing. A stream without a term shape
+    offers no such proof and is always consistent up to the budget. Either
+    way the probe reads at most the first ``TRACE_POINTS`` terms, for the
+    trace, whatever the budget.
     """
     threshold = Fraction(threshold)
     if threshold <= 1:
@@ -544,37 +535,23 @@ def ratio_test_probe(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     r = point.r
-    # |a_{n+1} / a_n| * r >= threshold  <=>  p * rn * td >= q * tn * rd
+    # With |a_{n+1} / a_n| = p / q: p / q * r >= threshold  <=>  p * rn * td >= q * tn * rd
     scale_p = r.numerator * threshold.denominator
     scale_q = threshold.numerator * r.denominator
 
     shape = _shape_of(stream, budget + 1)
     # The trace covers the first TRACE_POINTS partial sums only; spanning
-    # the whole scan would drag enormous exact sums through streams whose
-    # terms explode (factorial tails at small r).
-    head = [stream.at(n) for n in range(min(budget + 1, TRACE_POINTS))]
+    # the budget would drag enormous exact sums through streams whose terms
+    # explode (factorial tails at small r).
+    head = map(stream.at, range(min(budget + 1, TRACE_POINTS)))
     trace = tuple(enumerate(_running_sums(head, point)))
 
-    # (n, p, q) of the first crossing in the last unbroken run
-    start: tuple[int, int, int] | None = None
-    if shape is None:
-        terms = itertools.chain(head, map(stream.at, range(len(head), budget + 2)))
-        for n, p, q in _term_ratios(terms):
-            if p * scale_p < q * scale_q:
-                start = None
-            elif start is None:
-                start = (n, p, q)
-    else:
-        n = _run_start(shape, budget, scale_p, scale_q)
-        if n is not None:
-            (a, b), (c, d) = shape.num, shape.den
-            start = (n, abs(a * n + b), c * n + d)
-
-    if start is None:
+    index = None if shape is None else _run_start(shape, budget, scale_p, scale_q)
+    if index is None:
         verdict, witness = ConsistentUpToBudget(budget), None
     else:
-        index, p, q = start
-        ratio = Fraction(p * r.numerator, q * r.denominator)
+        (a, b), (c, d) = shape.num, shape.den
+        ratio = Fraction(abs(a * index + b) * r.numerator, (c * index + d) * r.denominator)
         verdict = WitnessedDivergence(index=index, ratio=ratio, threshold=threshold)
         witness = (index, ratio)
     return SeriesProbeReport(verdict=verdict, witness=witness, trace=trace, budget_used=budget)

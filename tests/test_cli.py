@@ -575,15 +575,56 @@ def test_probe_ratio_on_alternating_uses_the_absolute_ratio(tmp_path, capsys):
     )
 
 
-def test_probe_ratio_on_explicit_stream_skips_zero_terms(tmp_path, capsys):
+def test_probe_ratio_on_an_explicit_stream_witnesses_nothing(tmp_path, capsys):
+    # The scaled ratio is 3 at every index from 3 on, but an explicit stream has
+    # no term shape, so nothing proves that the crossings go on past the budget.
     result = ratio_probe_output(tmp_path, capsys, "explicit 1 3 0 | tail 2", "3", "10")
     sums = [1, 10, 10, 64, 226, 712, 2170, 6544, 19666, 59032, 177130]
     assert result == (
-        0,
-        "verdict: WITNESSED_DIVERGENCE\nbudget: 10\nwitness index: 0\n"
-        "witness value: 9 (approx 9.000000000000)\nratio: 9\nthreshold: 2\n"
+        2,
+        "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 10\n"
         "trace (first 11):\n" + "".join(f"  S_{n} = {s}\n" for n, s in enumerate(sums)),
     )
+
+
+@pytest.mark.parametrize(
+    "body, r, threshold",
+    [
+        # e^z: the ratio 100/(n + 1) clears 2 up to n = 49 and never after
+        ("builtin reciprocal_factorial", "100", "2"),
+        # scaled ratios 3, 2, 3, 3/2, 3, then a zero tail
+        ("explicit 3 -3 2 -2 1 -1", "3", "3/2"),
+        # 32 terms 4^n, then a zero tail: every scaled ratio is 2
+        ("explicit " + " ".join(str(4 ** n) for n in range(32)) + " | tail 0", "1/2", "2"),
+    ],
+    ids=["reciprocal_factorial", "seesaw", "polynomial"],
+)
+@pytest.mark.parametrize("budget", ["30", "60", "1000000"])
+def test_probe_ratio_witnesses_no_crossing_that_ends_past_the_budget(
+    tmp_path, capsys, body, r, threshold, budget
+):
+    spec = series_file(tmp_path, body)
+    code = main(["probe", spec, "--kind", "ratio", "--r", r, "--threshold", threshold,
+                 "--budget", budget])
+    head = capsys.readouterr().out.split("trace")[0]
+    assert (code, head) == (2, f"verdict: CONSISTENT_UP_TO_BUDGET\nbudget: {budget}\n")
+
+
+def test_probe_ratio_on_an_explicit_stream_reads_only_its_trace(tmp_path):
+    # Only the trace's 20 terms are read, so a budget of 10^12 ends at once.
+    spec = series_file(tmp_path, "explicit 1 | tail 1")
+    env = {**os.environ, "PYTHONPATH": str(Path(haltseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "haltseries.cli", "probe", spec, "--kind", "ratio",
+         "--budget", "1000000000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    trace = "".join(f"  S_{n} = {n + 1}\n" for n in range(20))
+    head = "verdict: CONSISTENT_UP_TO_BUDGET\nbudget: 1000000000000\ntrace (first 20):\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, head + trace, "")
 
 
 def test_probe_root(tmp_path, capsys):

@@ -188,6 +188,14 @@ def _cases() -> list[list[str]]:
                  "--budget", "30"])
         add(["probe", spec, "--kind", "ratio", "--budget", "5", "--kv"])
         add(["probe", spec, "--kind", "root", "--n-max", "6"])
+    # No witness for crossings that hold through the budget and no proof
+    # past it: e^z's ratio 100/(n + 1) falls below 2 after n = 49, and an
+    # explicit tail has no term shape.
+    for budget in ("30", "60"):
+        add(["probe", "recip.s", "--kind", "ratio", "--r", "100", "--threshold", "2",
+             "--budget", budget])
+    add(["probe", "straddle.s", "--kind", "ratio", "--r", "3", "--threshold", "2",
+         "--budget", "30"])
     for spec in ("ftail3.s", "one.s", "geo_three_halves.s", "recip.s"):
         add(["probe", spec, "--kind", "effective", "--rate", "constant:1", "--radius", "1",
              "--k-max", "4", "--n-budget", "30"])

@@ -548,7 +548,7 @@ def test_ratio_probe_single_spike_is_not_a_witness():
     assert isinstance(report.verdict, ConsistentUpToBudget)
 
 
-def test_ratio_probe_zero_gap_does_not_break_a_run():
+def test_ratio_probe_on_a_shapeless_splice_witnesses_nothing():
     # nonzero, gap of zeros, then persistently growing tail
     stream = ExplicitStream(
         (Fraction(1), Fraction(3), Fraction(0), Fraction(0)), Fraction(0)
@@ -559,12 +559,10 @@ def test_ratio_probe_zero_gap_does_not_break_a_run():
         def at(self, n):
             return stream.at(n) if n < 10 else spiky.at(n)
 
+    # The splice diverges, but it has no term shape, and no read within the
+    # budget proves that its ratios keep clearing the threshold past it.
     report = ratio_test_probe(Spliced(), UNIT, Fraction(2), 60)
-    assert isinstance(report.verdict, WitnessedDivergence)
-    # zero-coefficient indices are not sampled, so the crossing at n = 0
-    # is never contradicted and remains the start of the persistent run
-    assert report.verdict.index == 0
-    assert report.verdict.ratio == 3
+    assert report.verdict == ConsistentUpToBudget(60)
 
 
 def test_ratio_probe_witness_recheck_from_scratch():
@@ -628,17 +626,36 @@ def shaped_cases(draw, max_budget):
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_ratio_probe_term_shape_path_matches_generic_path(case):
+def test_ratio_probe_on_an_at_only_copy_witnesses_nothing(case):
+    # Without the shape nothing proves a crossing past the budget, so there is
+    # no witness; the trace is the same, read through `at` in both.
     stream, point, threshold, budget = case
-    fast = ratio_test_probe(stream, point, threshold, budget)
+    shaped = ratio_test_probe(stream, point, threshold, budget)
     generic = ratio_test_probe(AtOnly(stream), point, threshold, budget)
-    assert fast.to_text() == generic.to_text()
-    assert fast.to_kv() == generic.to_kv()
+    text, kv = shaped.to_text(), shaped.to_kv()
+    assert generic.to_text() == (
+        f"verdict: CONSISTENT_UP_TO_BUDGET\nbudget: {budget}\n" + text[text.index("trace ("):]
+    )
+    assert generic.to_kv() == (
+        f"verdict=CONSISTENT_UP_TO_BUDGET\nbudget={budget}\n" + kv[kv.index("trace."):]
+    )
+
+
+def crosses_in_the_limit(shape, point, threshold):
+    """Whether ``|a_{n+1} / a_n| * r >= threshold`` for every large n, from
+    the shape's forms alone: for large n, ``|a*n + b|`` is ``a*n + b`` times
+    the sign of its leading nonzero coefficient and ``c*n + d`` is positive,
+    so the crossing's slope decides, and at slope 0 its constant."""
+    (a, b), (c, d), r = shape.num, shape.den, point.r
+    scale_p, scale_q = r.numerator * threshold.denominator, threshold.numerator * r.denominator
+    sign = 1 if (a, b) > (0, 0) else -1
+    return (sign * a * scale_p - c * scale_q, sign * b * scale_p - d * scale_q) >= (0, 0)
 
 
 def scanned_witness(shape, point, threshold, budget):
     """The shaped scan the closed form replaced, kept as its reference: the
-    first ``(n, ratio)`` of the last unbroken run of crossings, or ``None``."""
+    first ``(n, ratio)`` of the last unbroken run of crossings, or ``None``,
+    and ``None`` too when the crossing fails in the limit."""
     (a, b), (c, d), r = shape.num, shape.den, point.r
     scale_p, scale_q = r.numerator * threshold.denominator, threshold.numerator * r.denominator
     run = None
@@ -648,17 +665,19 @@ def scanned_witness(shape, point, threshold, budget):
             run = None
         elif run is None:
             run = (n, Fraction(p, q) * r)
-    return run
+    return run if crosses_in_the_limit(shape, point, threshold) else None
 
 
 @given(shaped_cases(10 ** 4))
 @settings(max_examples=300, deadline=None)
 # One case per branch of the closed form, A*n + B >= 0 being a crossing:
 # A > 0 and a run from ceil(-B/A) = 2 past start, where floor(-B/A) = 1;
-# A == 0 and a tie at every n; A < 0 and a tie at the budget; a miss at the budget.
+# A == 0 and a tie at every n; A < 0 and a tie at the budget, then a run of
+# crossings from start to the budget; a miss at the budget.
 @example((Shaped(0, Fraction(1), (2, 1), (0, 1)), HALF, Fraction(2), 9))
 @example((Shaped(1, Fraction(-3), (2, 0), (1, 0)), UNIT, Fraction(2), 12))
 @example((Shaped(0, Fraction(1), (1, 20), (1, 1)), UNIT, Fraction(3, 2), 37))
+@example((Shaped(0, Fraction(1), (1, 20), (1, 1)), UNIT, Fraction(3, 2), 30))
 @example((Shaped(0, Fraction(1), (1, 20), (1, 1)), UNIT, Fraction(3, 2), 38))
 def test_ratio_probe_closed_form_matches_the_scan(case):
     stream, point, threshold, budget = case
@@ -670,15 +689,61 @@ def test_ratio_probe_closed_form_matches_the_scan(case):
         assert (report.verdict.index, report.verdict.ratio) == report.witness
 
 
+@given(shaped_cases(200))
+@settings(max_examples=300, deadline=None)
+# A < 0: the crossing holds from start through the budget and fails later.
+@example((Shaped(0, Fraction(1), (0, 1), (1, 1)), EvaluationPoint(100), Fraction(2), 30))
+# A == 0 at a tie, and A > 0 from index 2 on.
+@example((Shaped(1, Fraction(-3), (2, 0), (1, 0)), UNIT, Fraction(2), 12))
+@example((Shaped(0, Fraction(1), (2, 1), (0, 1)), HALF, Fraction(2), 9))
+def test_ratio_probe_witness_holds_to_the_budget_and_in_the_limit(case):
+    stream, point, threshold, budget = case
+    report = ratio_test_probe(stream, point, threshold, budget)
+    if report.witness is None:
+        return
+    index = report.verdict.index
+    assert abs(stream.at(index + 1)) * point.r / abs(stream.at(index)) == report.verdict.ratio
+    for n in range(index, budget + 1):
+        a, b = stream.at(n), stream.at(n + 1)
+        assert a != 0 and abs(b) * point.r >= threshold * abs(a), n
+    assert crosses_in_the_limit(stream.term_shape(budget), point, threshold)
+
+
 @pytest.mark.parametrize("budget", [1, 18, 19, 20, 21, 100])
 @pytest.mark.parametrize("stream", [builtin_stream("harmonic"), builtin_stream("factorial_tail", 3),
                                     builtin_stream("geometric", Fraction(-3, 2))])
 def test_ratio_probe_reads_each_index_of_an_at_only_stream_once(stream, budget):
-    # The scan reads a_0 .. a_{budget+1}; the trace sums its first 20.
+    # The probe reads a_0 .. a_min(budget, 19), for the trace, and nothing else.
     counted = AtOnly(stream)
     report = ratio_test_probe(counted, HALF, Fraction(2), budget)
-    assert counted.reads == list(range(budget + 2))
-    assert report.to_text() == ratio_test_probe(stream, HALF, Fraction(2), budget).to_text()
+    assert counted.reads == list(range(min(budget + 1, 20)))
+    assert report.verdict == ConsistentUpToBudget(budget)
+    assert report.trace == ratio_test_probe(stream, HALF, Fraction(2), budget).trace
+
+
+@pytest.mark.parametrize("budget", [30, 60])
+def test_ratio_probe_on_reciprocal_factorial_witnesses_nothing(budget):
+    # e^z: the ratio is 100/(n + 1), which clears 2 up to n = 49 and then never again.
+    stream = builtin_stream("reciprocal_factorial")
+    report = ratio_test_probe(stream, EvaluationPoint(100), Fraction(2), budget)
+    assert report.verdict == ConsistentUpToBudget(budget)
+
+
+@pytest.mark.parametrize(
+    "stream, r, threshold",
+    [
+        # scaled ratios 3, 2, 3, 3/2, 3, then a zero tail that no budget samples
+        (ExplicitStream(tuple(map(Fraction, (3, -3, 2, -2, 1, -1))), Fraction(0)), 3,
+         Fraction(3, 2)),
+        # 32 terms 4^n over a zero tail: every ratio is 4 * 1/2 = 2
+        (ExplicitStream(tuple(Fraction(4) ** n for n in range(32)), Fraction(0)), Fraction(1, 2),
+         Fraction(2)),
+    ],
+)
+@pytest.mark.parametrize("budget", [30, 10 ** 6])
+def test_ratio_probe_on_a_polynomial_witnesses_nothing(stream, r, threshold, budget):
+    report = ratio_test_probe(stream, EvaluationPoint(r), threshold, budget)
+    assert report.verdict == ConsistentUpToBudget(budget)
 
 
 def test_sums_and_probes_reject_out_of_range_bounds():
